@@ -51,7 +51,7 @@ MODES = ("distributed", "uncoupled")
 TIMED = (
     tuple(f"learner.us_per_step.{mode}" for mode in MODES)
     + tuple(SELF_TIMES)
-    + ("augmented.verify_lifted_chain.total_s", "features.s", "trace.op_s")
+    + ("augmented.verify_lifted_chain.total_s", "features.s", "trace.op_s", "trace.first_op_s")
 )
 PROBES = (("chain.selfloop_invariance_err", "abs"), ("chain.stationary_max_cap", "states"))
 COUNTS = (

@@ -27,6 +27,7 @@ import threading
 import time
 from pathlib import Path
 
+import hostspeed
 import layers
 
 HERE = Path(__file__).resolve().parent
@@ -92,11 +93,10 @@ def spawn(args, mode, workdir, env, deadline):
 
 def tail(values):
     """(value, percentile) of the highest percentile with TAIL_BEYOND samples
-    beyond it; the maximum when there are too few samples."""
+    beyond it, but never below the median: with fewer than 2 * TAIL_BEYOND + 2
+    samples no percentile above the median has that many beyond it."""
     ordered = sorted(values)
-    k = len(ordered) - TAIL_BEYOND - 1
-    if k < 0:
-        return ordered[-1], 100.0
+    k = max(len(ordered) - TAIL_BEYOND - 1, len(ordered) // 2)
     return ordered[k], 100.0 * (k + 1) / len(ordered)
 
 
@@ -105,16 +105,23 @@ def run_timed(args, workdir, deadline):
     setups = [spawn(args, "setup", workdir, env, deadline)[0] for _ in range(SETUP_SAMPLES - 1)]
     ready, res = spawn(args, "timed", workdir, env, deadline)
     setups.append(ready)
-    op_s = res["op_s"]
+    op_raw, kernel, refs = res["op_s"], res["reference"], res["ref_s"]
+    # Op i is bracketed by reference timings i and i + 1.
+    op_s = [hostspeed.adjust(t, kernel, refs[i], refs[i + 1]) for i, t in enumerate(op_raw)]
     tail_s, pct = tail(op_s)
     metrics = {
         "setup_s": statistics.median(setups),
         "op_s_p50": statistics.median(op_s),
         "op_s_tail": tail_s,
-        "ops_per_s": len(op_s) / res["busy_s"],
+        "ops_per_s": len(op_s) / sum(op_s),
         "peak_rss_mb": res["peak_rss_mb"],
     }
     notes = [
+        f"op times are at nominal host speed: the {kernel} reference kernel took"
+        f" {1e3 * statistics.median(refs):.2f} ms (median) against a nominal"
+        f" {1e3 * hostspeed.NOMINAL_S[kernel]:.2f} ms",
+        f"raw: op_s_p50 {statistics.median(op_raw):.6g} op_s_tail {tail(op_raw)[0]:.6g}"
+        f" ops_per_s {len(op_raw) / res['busy_s']:.6g}",
         f"op_s_tail is p{pct:.1f} of {len(op_s)} timed ops",
         f"setup_s is the median of {len(setups)} spawns",
         f"ops_attempted {res['attempted']}; reproducibility rerun: {res['repro']}",

@@ -4,7 +4,8 @@ Started by ``run.py`` with ``PYTHONPATH`` pointing at the checkout's
 ``src``. Modes:
 
 - ``setup``: make the inputs, print READY, exit (``setup_s`` samples);
-- ``timed``: untraced closed loop for ``--seconds`` of op time;
+- ``timed``: one warm-up op, then an untraced closed loop for ``--seconds``
+  of op time, with the host-speed reference timed between ops;
 - ``traced``: one warm-up op, then a fixed number of ops each run untraced
   and traced, then the accuracy probes.
 
@@ -20,6 +21,7 @@ import sys
 import time
 from pathlib import Path
 
+import hostspeed
 import probes
 import workloads
 
@@ -28,17 +30,25 @@ import workloads
 # on nothing measured in the run itself.
 NOMINAL_OP_S = {"sim-discounted": 1.1, "sim-average-dense": 1.7, "oracle-scaled": 1.7}
 MIN_TRACED_OPS = 3
+WARMUP_OP = -1  # an op index the timed ops do not use
 
 
-def _run_checked(wl, i, failures):
-    """Run op i; returns its wall time and artifact bytes, appends failures."""
+def _run_checked(wl, i, failures, after_op=None):
+    """Run op i; returns its wall time and artifact bytes, appends failures.
+
+    ``after_op`` is called as soon as the op returns, before its checks.
+    """
     start = time.perf_counter()
     try:
-        res = wl.run_op(i)
+        res, raised = wl.run_op(i), None
     except Exception as exc:  # an op that raises is a failed op, not a crash
-        failures.append({"op": i, "errors": [f"raised {exc!r}"]})
-        return time.perf_counter() - start, 0
+        res, raised = None, exc
     elapsed = time.perf_counter() - start
+    if after_op is not None:
+        after_op()
+    if raised is not None:
+        failures.append({"op": i, "errors": [f"raised {raised!r}"]})
+        return elapsed, 0
     try:
         errors, size = wl.check(res)
     except Exception as exc:  # so is output the checks cannot read
@@ -52,16 +62,28 @@ def timed(wl, seconds):
     """Closed loop, one client: the next op starts when the last one returned.
 
     The loop stops once ``seconds`` of op time have accumulated; checks run
-    between ops and are not counted.
+    between ops and are not counted. The host-speed reference is timed
+    before the first op and right after each op, so ``ref_s[i]`` and
+    ``ref_s[i + 1]`` bracket op i.
+    One untimed warm-up op runs first: lazy imports and first calls are
+    paid once per process, and the traced run reports them as
+    ``trace.first_op_s``.
     """
     failures, op_s = [], []
+    _run_checked(wl, WARMUP_OP, failures)
+    ref_s = [hostspeed.reference(wl.REFERENCE)]
     busy = 0.0
     while busy < seconds:
-        elapsed, _ = _run_checked(wl, len(op_s), failures)
+        elapsed, _ = _run_checked(
+            wl,
+            len(op_s),
+            failures,
+            after_op=lambda: ref_s.append(hostspeed.reference(wl.REFERENCE)),
+        )
         op_s.append(elapsed)
         busy += elapsed
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    attempted, repro = len(op_s), "not applicable"
+    attempted, repro = len(op_s) + 1, "not applicable"
     if isinstance(wl, workloads.SimWorkload):
         attempted += 1
         try:
@@ -73,6 +95,8 @@ def timed(wl, seconds):
             failures.append({"op": "repro", "errors": errors})
     return {
         "op_s": op_s,
+        "reference": wl.REFERENCE,
+        "ref_s": ref_s,
         "busy_s": busy,
         "peak_rss_mb": peak_rss_mb,
         "attempted": attempted,
@@ -90,7 +114,7 @@ def traced(wl, name, seconds):
     n_ops = max(MIN_TRACED_OPS, int(seconds / (4 * NOMINAL_OP_S[name])))
     failures = []
     # Warm-up on an input the traced ops do not use: lazy imports, first calls.
-    _run_checked(wl, n_ops, failures)
+    first_op_s, _ = _run_checked(wl, WARMUP_OP, failures)
 
     tracer = tr.Tracer()
     tracer.install(
@@ -119,6 +143,7 @@ def traced(wl, name, seconds):
     metrics = layers.derive(
         tracer.self_times(), tracer.counts, walls, plain, list(sizes.values())
     )
+    metrics["trace.first_op_s"] = first_op_s
     metrics.update(probes.accuracy_probes())
     return {
         "attempted": 2 * n_ops + 1,

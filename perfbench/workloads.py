@@ -63,6 +63,8 @@ def _op_seed(seed: int, i: int) -> int:
 class SimWorkload:
     """``gossiptd run`` on a preset, one run seed per op."""
 
+    REFERENCE = "python"  # the host-speed kernel: the TD loop is interpreter-bound
+
     def __init__(self, seed, workdir, preset, record_every):
         self.seed = seed
         self.workdir = Path(workdir)
@@ -219,6 +221,8 @@ def stretched_queue_bases(cap):
 
 class OracleWorkload:
     """``solve`` then ``bounds`` for both criteria on a cap-120 queue."""
+
+    REFERENCE = "bool-matmul"  # the host-speed kernel: most time is boolean matrix powers
 
     def __init__(self, seed, workdir):
         self.workdir = Path(workdir)
