@@ -22,6 +22,7 @@ from .gossip import GossipMatrix
 from .learner import Trajectory
 
 ZERO_ERR = 1e-15
+_METRICS_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -205,25 +206,29 @@ def metrics_over_time(
         target = chain_mod.discounted_value(model, cfg.alpha)
     else:
         target = chain_mod.basic_differential_value(model, eta)
-    n = trajectory.n_agents
     num = len(trajectory.steps)
     max_error = np.empty(num)
     var_w = np.empty(num)
     var_u = np.empty(num)
-    phis = [b.phi for b in bases.bases]
-    for rec in range(num):
-        values = [phis[i] @ trajectory.weights[i][rec] for i in range(n)]
+    w = eta.eta
+    # blocks of snapshots keep the (records, agents, states) temporaries small
+    block = max(1, _METRICS_BLOCK_ENTRIES // (trajectory.n_agents * model.m))
+    for lo in range(0, num, block):
+        recs = slice(lo, lo + block)
+        # values[rec, i] = Phi_i w_i at snapshot rec
+        values = np.stack(
+            [r[recs] @ b.phi.T for r, b in zip(trajectory.weights, bases.bases)],
+            axis=1,
+        )
+        diff = target - values
         if cfg.criterion == "average":
-            errs = [
-                weighted_norm(projection_onto_ones_complement(eta, target - v), eta)
-                for v in values
-            ]
-        else:
-            errs = [weighted_norm(target - v, eta) for v in values]
-        max_error[rec] = max(errs)
-        vbar = np.mean(values, axis=0)
-        var_w[rec] = np.mean([weighted_norm(v - vbar, eta) ** 2 for v in values])
-        var_u[rec] = float(np.mean(np.var(np.stack(values), axis=0)))
+            diff -= (diff @ w)[..., None]
+        diff *= diff
+        max_error[recs] = np.sqrt(diff @ w).max(axis=1)
+        values -= values.mean(axis=1, keepdims=True)
+        values *= values
+        var_w[recs] = (values @ w).mean(axis=1)
+        var_u[recs] = values.mean(axis=(1, 2))
     return MetricsSeries(
         steps=trajectory.steps.copy(),
         max_error=max_error,

@@ -81,15 +81,29 @@ def _reachability_closure(adj: np.ndarray) -> np.ndarray:
     return reach
 
 
+_ROWS_MESSAGE = "rows of P must be nonnegative and sum to 1"
+
+
+def _rows_stochastic(P: np.ndarray) -> bool:
+    """Every entry nonnegative and every row summing to 1 (false on NaN or inf)."""
+    return bool(np.all(P >= 0) and np.all(np.abs(P.sum(axis=1) - 1.0) < ROW_SUM_TOL))
+
+
+def _require_stochastic_rows(model: MarkovModel) -> None:
+    """The O(m^2) part of validate_chain, cheap enough to run before any solve."""
+    if not _rows_stochastic(model.P):
+        raise StructuralError(_ROWS_MESSAGE)
+
+
 def validate_chain(model: MarkovModel, raise_on_error: bool = True) -> ValidationReport:
     """Check row-stochasticity plus irreducibility and aperiodicity (A2)."""
     P = model.P
     m = model.m
     messages = []
 
-    row_ok = bool(np.all(P >= 0) and np.all(np.abs(P.sum(axis=1) - 1.0) < ROW_SUM_TOL))
+    row_ok = _rows_stochastic(P)
     if not row_ok:
-        messages.append("rows of P must be nonnegative and sum to 1")
+        messages.append(_ROWS_MESSAGE)
         if raise_on_error:
             raise StructuralError("; ".join(messages))
 

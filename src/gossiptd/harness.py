@@ -172,6 +172,7 @@ class ExperimentResult:
 
 def prepare(config: ExperimentConfig):
     """Validated (eta, bases, augmented system, fixed point) for a config."""
+    chain_mod._require_stochastic_rows(config.model)
     eta = chain_mod.stationary_distribution(config.model)
     bases = config.bases
     orth = config.orthogonalize

@@ -1,14 +1,18 @@
 """Stochastic TD(0) iterations: centralized, gossip-coupled, and uncoupled.
 
 The step functions are pure (they return fresh arrays and read only
-pre-update values), which keeps them directly enumerable in tests. `run`
-wires them into a seeded simulation loop over a chain trajectory.
+pre-update values), which keeps them directly enumerable in tests; they are
+the specification of `run`. `run` samples a seeded chain trajectory and
+applies the same updates as affine maps of the stacked state
+z = (r_1..r_n, mu, 1), composed over segments of the trajectory.
 """
 
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -57,10 +61,6 @@ class AgentEnsemble:
     mu: float = 0.0
     t: int = 0
 
-    @classmethod
-    def zeros(cls, bases: BasisEnsemble) -> "AgentEnsemble":
-        return cls(weights=[np.zeros(k) for k in bases.sizes])
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -86,6 +86,8 @@ class RunConfig:
                 raise StructuralError("discounted mode needs alpha in (0,1)")
         if self.k <= 0:
             raise StructuralError("k must be positive")
+        if self.record_every < 1:
+            raise StructuralError("record_every must be >= 1")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -138,15 +140,14 @@ def simulate_states(
 ) -> np.ndarray:
     """Sample a length-(steps+1) state path by inverse CDF per row."""
     cdfs = np.cumsum(model.P, axis=1)
-    u = rng.random(steps)
-    states = np.empty(steps + 1, dtype=np.int64)
-    states[0] = initial_state
-    last = model.m - 1
-    s = initial_state
-    for t in range(steps):
-        s = min(int(np.searchsorted(cdfs[s], u[t], side="right")), last)
-        states[t + 1] = s
-    return states
+    cdfs[:, -1] = np.inf  # a draw past a row's rounded sum lands in the last state
+    cdfs = cdfs.tolist()
+    path = accumulate(
+        memoryview(rng.random(steps)),
+        lambda s, u: bisect_right(cdfs[s], u),
+        initial=initial_state,
+    )
+    return np.fromiter(path, dtype=np.int64, count=steps + 1)
 
 
 @dataclass
@@ -182,12 +183,69 @@ class Trajectory:
                 writer.writerow([int(step), repr(float(value))])
 
 
-def _check_finite(weights, mu, step):
-    for w in weights:
-        if not np.all(np.isfinite(w)) or np.max(np.abs(w)) > WEIGHT_BLOWUP:
-            raise DivergenceError(step, "weight vector out of range")
-    if mu is not None and (not np.isfinite(mu) or abs(mu) > WEIGHT_BLOWUP):
-        raise DivergenceError(step, "mu out of range")
+# The engine composes the TD steps of each segment of at most _SEGMENT steps
+# into one (D, D) map and builds the maps of up to _CHUNK_ENTRIES / D^2
+# segments at once.
+_SEGMENT = 128
+_CHUNK_ENTRIES = 1 << 15
+
+
+def _check_range(snapshots, steps, K, average):
+    """Raise DivergenceError at the first snapshot out of range, weights before mu."""
+    bad_weights = ~(np.abs(snapshots[:, :K]) <= WEIGHT_BLOWUP).all(axis=1)
+    bad_mu = ~(np.abs(snapshots[:, K]) <= WEIGHT_BLOWUP) if average else False
+    bad = bad_weights | bad_mu
+    if bad.any():
+        first = int(np.argmax(bad))
+        what = "weight vector" if bad_weights[first] else "mu"
+        raise DivergenceError(int(steps[first]), f"{what} out of range")
+
+
+def _segments(steps: int, record_every: int):
+    """Segment starts and ends, cut at multiples of _SEGMENT and at record points."""
+    cuts = np.union1d(
+        np.arange(_SEGMENT, steps, _SEGMENT),
+        np.arange(record_every, steps, record_every),
+    )
+    ends = np.append(cuts, steps).astype(np.int64)
+    starts = np.concatenate(([0], ends[:-1]))
+    return starts, ends
+
+
+def _compose_maps(embed, states, costs, gammas, neighbors, starts, lengths, alpha, k):
+    """Products of the per-step maps z <- (I + gamma_t X_t^T V_t) z, one per segment.
+
+    `embed[i, s]` is agent i's feature row phi_i(s) placed in agent i's block
+    of z = (r_1..r_n, [mu,] 1). Row i of X_t is embed[i, x_t]; row i of V_t
+    reads agent i's TD error off z. With `k` set, z carries mu in its
+    second-to-last coordinate and X_t, V_t have one more row for its update.
+    Padding steps beyond a segment's length get gamma = 0.
+    """
+    n, _, dim = embed.shape
+    num = len(starts)
+    one = dim - 1
+    agents = np.arange(n)
+    rows = n if k is None else n + 1
+    X = np.zeros((num, rows, dim))
+    V = np.zeros((num, rows, dim))
+    if k is not None:
+        X[:, n, one - 1] = 1.0
+        V[:, n, one - 1] = -k
+    maps = np.zeros((num, dim, dim))
+    maps[:, np.arange(dim), np.arange(dim)] = 1.0
+    for offset in range(int(lengths.max())):
+        live = offset < lengths
+        t = np.where(live, starts + offset, starts)
+        x, c = states[t], costs[t]
+        X[:, :n] = embed[agents, x[:, None]]
+        V[:, :n] = alpha * embed[neighbors[t], states[t + 1][:, None]] - X[:, :n]
+        V[:, :n, one] = c[:, None]
+        if k is not None:
+            V[:, :n, one - 1] = -1.0
+            V[:, n, one] = k * c
+        step = np.where(live, gammas[t], 0.0)[:, None, None] * X
+        maps += np.matmul(step.transpose(0, 2, 1), np.matmul(V, maps))
+    return maps
 
 
 def run(
@@ -200,6 +258,8 @@ def run(
 
     Chain transitions and neighbor polling use independent seeded streams,
     so coupled and uncoupled runs with the same seed see the same state path.
+    Every mode is one engine: uncoupled and centralized agents poll
+    themselves (centralized is a single agent).
     """
     chain_mod.validate_chain(model)
     for b in bases.bases:
@@ -221,7 +281,6 @@ def run(
     costs = model.c[states[:-1], states[1:]]
     gammas = config.schedule.gammas(T)
 
-    neighbors = None
     if config.mode == "distributed":
         u = rng_gossip.random((T, n))
         cdfs = gm.row_cdfs()
@@ -230,62 +289,49 @@ def run(
             neighbors[:, i] = np.minimum(
                 np.searchsorted(cdfs[i], u[:, i], side="right"), n - 1
             )
+    else:
+        neighbors = np.broadcast_to(np.arange(n), (T, n))
 
-    phis = [b.phi for b in bases.bases]
-    weights = [np.zeros(k) for k in bases.sizes]
-    mu = 0.0 if config.criterion == "average" else None
-    discounted = config.criterion == "discounted"
-    alpha = config.alpha
-    k = config.k
+    average = config.criterion == "average"
+    bounds = np.cumsum([0, *bases.sizes])
+    K = int(bounds[-1])
+    dim = K + 1 + average
+    embed = np.zeros((n, model.m, dim))
+    for i, b in enumerate(bases.bases):
+        embed[i, :, bounds[i] : bounds[i + 1]] = b.phi
+    alpha, k = (1.0, config.k) if average else (config.alpha, None)
 
-    rec_steps = [0]
-    rec_weights = [[w.copy() for w in weights]]
-    rec_mu = [mu]
-
-    for t in range(T):
-        x, x_next = int(states[t]), int(states[t + 1])
-        cost = float(costs[t])
-        gamma_t = gammas[t]
-        if config.mode == "distributed":
-            nb = neighbors[t]
-            if discounted:
-                weights = td0_distributed_step(
-                    x, x_next, cost, weights, phis, alpha, gamma_t, nb
-                )
-            else:
-                weights, mu = avgcost_distributed_step(
-                    x, x_next, cost, weights, mu, phis, k, gamma_t, nb
-                )
-        else:
-            # centralized and uncoupled both bootstrap from the agent's own basis
-            if discounted:
-                weights = [
-                    td0_centralized_step(x, x_next, cost, weights[i], phis[i], alpha, gamma_t)
-                    for i in range(n)
-                ]
-            else:
-                new_weights = []
-                for i in range(n):
-                    phi = phis[i]
-                    td = cost - mu + phi[x_next] @ weights[i] - phi[x] @ weights[i]
-                    new_weights.append(weights[i] + gamma_t * td * phi[x])
-                weights = new_weights
-                mu = mu + k * gamma_t * (cost - mu)
-        if (t + 1) % config.record_every == 0 or t + 1 == T:
-            _check_finite(weights, mu, t + 1)
-            if t + 1 != rec_steps[-1]:
-                rec_steps.append(t + 1)
-                rec_weights.append([w.copy() for w in weights])
-                rec_mu.append(mu)
-
-    per_agent = [
-        np.array([snap[i] for snap in rec_weights]) for i in range(n)
-    ]
-    final = AgentEnsemble(weights=[w.copy() for w in weights], mu=mu or 0.0, t=T)
+    starts, ends = _segments(T, config.record_every)
+    recorded = (ends % config.record_every == 0) | (ends == T)
+    chunk = max(1, _CHUNK_ENTRIES // dim**2)
+    z = np.zeros(dim)
+    z[-1] = 1.0
+    snapshots = [z]
+    # A diverging run overflows; _check_range reports it at the first bad record.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(starts), chunk):
+            hi = lo + chunk
+            maps = _compose_maps(
+                embed, states, costs, gammas, neighbors,
+                starts[lo:hi], ends[lo:hi] - starts[lo:hi], alpha, k,
+            )
+            for A, rec in zip(maps, recorded[lo:hi]):
+                z = A @ z
+                if rec:
+                    snapshots.append(z)
+    rec_steps = np.concatenate(([0], ends[recorded]))
+    snaps = np.array(snapshots)
+    _check_range(snaps, rec_steps, K, average)
+    per_agent = [snaps[:, lo:hi].copy() for lo, hi in zip(bounds[:-1], bounds[1:])]
+    final = AgentEnsemble(
+        weights=[w[-1].copy() for w in per_agent],
+        mu=float(z[K]) if average else 0.0,
+        t=T,
+    )
     return Trajectory(
-        steps=np.array(rec_steps, dtype=np.int64),
+        steps=rec_steps,
         weights=per_agent,
-        mu=None if mu is None else np.array(rec_mu, dtype=float),
+        mu=snaps[:, K].copy() if average else None,
         config=config,
         final=final,
     )

@@ -104,3 +104,90 @@ def enumerate_expected_avgcost_update(model, bases, gm, eta, weights, mu, k):
             mu_only = mu + k * (cost - mu)
             mu_out += p_trans * (mu_only - mu)
     return out, mu_out
+
+
+def searchsorted_states(model, steps, initial_state, rng):
+    """State path by np.searchsorted on each row's CDF, one step at a time."""
+    cdfs = np.cumsum(model.P, axis=1)
+    u = rng.random(steps)
+    states = np.empty(steps + 1, dtype=np.int64)
+    states[0] = initial_state
+    s = initial_state
+    for t in range(steps):
+        s = min(int(np.searchsorted(cdfs[s], u[t], side="right")), model.m - 1)
+        states[t + 1] = s
+    return states
+
+
+def reference_run(model, bases, gm, config):
+    """Step-function loop over the same seeded streams as `learner.run`.
+
+    Returns (recorded steps, per-agent snapshot arrays, mu series or None)
+    and raises DivergenceError at the first out-of-range record, as `run`
+    does.
+    """
+    from gossiptd.errors import DivergenceError
+    from gossiptd.learner import (
+        WEIGHT_BLOWUP,
+        avgcost_centralized_step,
+        avgcost_distributed_step,
+        td0_centralized_step,
+        td0_distributed_step,
+    )
+
+    T, n = config.steps, bases.n_agents
+    states = searchsorted_states(
+        model, T, config.initial_state, np.random.default_rng([config.seed, 0])
+    )
+    if config.mode == "distributed":
+        u = np.random.default_rng([config.seed, 1]).random((T, n))
+        cdfs = np.cumsum(gm.q, axis=1)
+        neighbors = np.stack(
+            [
+                np.minimum(np.searchsorted(cdfs[i], u[:, i], side="right"), n - 1)
+                for i in range(n)
+            ],
+            axis=1,
+        )
+    gammas = config.schedule.gammas(T)
+    phis = [b.phi for b in bases.bases]
+    weights = [np.zeros(k) for k in bases.sizes]
+    average = config.criterion == "average"
+    mu = 0.0 if average else None
+    steps, snaps, mus = [0], [[w.copy() for w in weights]], [mu]
+    for t in range(T):
+        x, x_next = int(states[t]), int(states[t + 1])
+        cost = float(model.c[x, x_next])
+        gamma_t = gammas[t]
+        if config.mode == "distributed" and average:
+            weights, mu = avgcost_distributed_step(
+                x, x_next, cost, weights, mu, phis, config.k, gamma_t, neighbors[t]
+            )
+        elif config.mode == "distributed":
+            weights = td0_distributed_step(
+                x, x_next, cost, weights, phis, config.alpha, gamma_t, neighbors[t]
+            )
+        elif average:
+            pairs = [
+                avgcost_centralized_step(
+                    x, x_next, cost, w, mu, phi, config.k, gamma_t
+                )
+                for w, phi in zip(weights, phis)
+            ]
+            weights, mu = [p[0] for p in pairs], pairs[0][1]
+        else:
+            weights = [
+                td0_centralized_step(x, x_next, cost, w, phi, config.alpha, gamma_t)
+                for w, phi in zip(weights, phis)
+            ]
+        if (t + 1) % config.record_every == 0 or t + 1 == T:
+            for w in weights:
+                if not np.all(np.isfinite(w)) or np.max(np.abs(w)) > WEIGHT_BLOWUP:
+                    raise DivergenceError(t + 1, "weight vector out of range")
+            if average and (not np.isfinite(mu) or abs(mu) > WEIGHT_BLOWUP):
+                raise DivergenceError(t + 1, "mu out of range")
+            steps.append(t + 1)
+            snaps.append([w.copy() for w in weights])
+            mus.append(mu)
+    per_agent = [np.array([s[i] for s in snaps]) for i in range(n)]
+    return np.array(steps), per_agent, (np.array(mus) if average else None)

@@ -204,6 +204,22 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["e"]) == 3 and doc["beta"] > 0
 
+    def test_nan_in_p_exits_1_for_every_command(self, tmp_path, capsys, queue_model):
+        P = queue_model.P.copy()
+        P[3, 4] = np.nan
+        path = _write_config(
+            tmp_path,
+            {
+                "preset": "queue-3-discounted",
+                "chain": {"P": P.tolist(), "c": queue_model.c.tolist()},
+                "out_dir": str(tmp_path / "out"),
+            },
+        )
+        for command in ("validate", "solve", "bounds", "run"):
+            assert main([command, path]) == 1, command
+            err = capsys.readouterr().err
+            assert err == "error: rows of P must be nonnegative and sum to 1\n", command
+
     def test_divergent_run_exit_3(self, tmp_path, capsys):
         path = _write_config(
             tmp_path,

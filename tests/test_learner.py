@@ -4,6 +4,7 @@ import pytest
 import gossiptd as g
 from gossiptd.errors import DivergenceError, StructuralError
 from gossiptd.learner import (
+    _SEGMENT,
     avgcost_centralized_step,
     avgcost_distributed_step,
     simulate_states,
@@ -17,6 +18,8 @@ from helpers import (
     enumerate_expected_distributed_update,
     random_basis,
     random_chain,
+    reference_run,
+    searchsorted_states,
 )
 
 
@@ -63,6 +66,16 @@ class TestSimulateStates:
         # compare on the high-mass states
         mask = queue_eta.eta > 1e-3
         assert np.max(np.abs(freq[mask] - queue_eta.eta[mask])) < 0.01
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_searchsorted_path(self, queue_model, seed):
+        rng_model = random_chain(np.random.default_rng(seed), 6, self_loop=0.2)
+        # rows summing to 0.9: draws past a row's sum land in the last state
+        short_rows = g.MarkovModel(P=0.9 * rng_model.P, c=rng_model.c)
+        for model in (queue_model, rng_model, short_rows):
+            got = simulate_states(model, 20_000, 0, np.random.default_rng(seed))
+            ref = searchsorted_states(model, 20_000, 0, np.random.default_rng(seed))
+            np.testing.assert_array_equal(got, ref)
 
 
 class TestStepFunctions:
@@ -240,6 +253,8 @@ class TestRun:
             g.RunConfig(steps=10, alpha=1.5)
         with pytest.raises(StructuralError):
             g.RunConfig(steps=10, criterion="average", alpha=None, k=0.0)
+        with pytest.raises(StructuralError):
+            g.RunConfig(steps=10, record_every=0)
 
     def test_csv_round_trip(self, tmp_path, queue_model, queue_q, queue_bases):
         traj = g.run(
@@ -255,3 +270,69 @@ class TestRun:
         last = [r for r in rows if r["step"] == "1000" and r["agent"] == "0"]
         got = np.array([float(r["value"]) for r in last])
         np.testing.assert_array_equal(got, traj.weights[0][-1])
+
+
+def _max_rel_err(got, ref):
+    return float(np.max(np.abs(got - ref)) / max(np.max(np.abs(ref)), 1e-300))
+
+
+class TestEngineMatchesStepFunctions:
+    """`run` against a loop over the pure step functions on the same streams."""
+
+    STEPS = 1000  # not a multiple of the engine's segment length
+
+    @pytest.mark.parametrize("record_every", [1, 7, STEPS, STEPS + 13])
+    @pytest.mark.parametrize("criterion", ["discounted", "average"])
+    @pytest.mark.parametrize("mode", ["distributed", "uncoupled", "centralized"])
+    def test_snapshots_match(
+        self, queue_model, queue_q, queue_bases, mode, criterion, record_every
+    ):
+        assert self.STEPS % _SEGMENT != 0
+        bases = queue_bases
+        if mode == "centralized":
+            bases = g.BasisEnsemble(bases=(queue_bases.bases[1],))
+        gm = queue_q if mode == "distributed" else None
+        cfg = g.RunConfig(
+            steps=self.STEPS,
+            seed=5,
+            mode=mode,
+            criterion=criterion,
+            alpha=0.9 if criterion == "discounted" else None,
+            k=1.5,
+            record_every=record_every,
+            schedule=g.PowerSchedule(a=0.2, p=0.75, scale=300.0),
+        )
+        traj = g.run(queue_model, bases, gm, cfg)
+        steps, weights, mu = reference_run(queue_model, bases, gm, cfg)
+        np.testing.assert_array_equal(traj.steps, steps)
+        for got, ref, final in zip(traj.weights, weights, traj.final.weights):
+            assert got.shape == ref.shape
+            assert _max_rel_err(got, ref) <= 1e-10
+            np.testing.assert_array_equal(final, got[-1])
+        if criterion == "average":
+            assert _max_rel_err(traj.mu, mu) <= 1e-10
+            assert traj.final.mu == traj.mu[-1]
+        else:
+            assert traj.mu is None
+
+    @pytest.mark.parametrize(
+        "overrides, what",
+        [
+            ({"record_every": 50, "schedule": g.PowerSchedule(a=5.0)}, "weight"),
+            (
+                {"record_every": 5, "criterion": "average", "alpha": None, "k": 25.0},
+                "mu",
+            ),
+        ],
+    )
+    def test_divergence_at_first_bad_record(
+        self, queue_model, queue_q, queue_bases, overrides, what
+    ):
+        cfg = g.RunConfig(steps=3000, **overrides)
+        with pytest.raises(DivergenceError) as ref:
+            reference_run(queue_model, queue_bases, queue_q, cfg)
+        with pytest.raises(DivergenceError) as got:
+            g.run(queue_model, queue_bases, queue_q, cfg)
+        assert str(got.value) == str(ref.value)
+        assert str(got.value).split(": ")[1].startswith(what)
+        assert 0 < got.value.step < cfg.steps
