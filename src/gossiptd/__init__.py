@@ -25,7 +25,7 @@ from .features import (
     projection_onto_ones_complement,
     validate_independence,
 )
-from .gossip import GossipMatrix, sample_neighbor, validate_gossip
+from .gossip import GossipMatrix, sample_neighbors, validate_gossip
 from .augmented import (
     AugmentedSystem,
     FixedPoint,
@@ -33,7 +33,6 @@ from .augmented import (
     check_a6,
     solve_average_fixed_point,
     solve_discounted_fixed_point,
-    verify_lifted_chain,
 )
 from .learner import AgentEnsemble, PowerSchedule, RunConfig, Trajectory, run
 from .analysis import (

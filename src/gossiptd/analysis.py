@@ -128,7 +128,7 @@ def compute_discounted_errors(
     if eta is None:
         eta = chain_mod.stationary_distribution(model)
     j_star = chain_mod.discounted_value(model, alpha)
-    parts = _split(fixed_point.r_star, bases.sizes)
+    parts = bases.split(fixed_point.r_star)
     values = [b.phi @ r for b, r in zip(bases.bases, parts)]
     return _report(model, bases, gm.q, j_star, values, eta, alpha)
 
@@ -154,18 +154,9 @@ def compute_average_errors(
             )
     alpha_p = chain_mod.orthogonal_contraction_factor(model, eta)
     j_star = chain_mod.basic_differential_value(model, eta)
-    parts = _split(fixed_point.r_star, bases.sizes)
+    parts = bases.split(fixed_point.r_star)
     values = [b.phi @ r for b, r in zip(bases.bases, parts)]
     return _report(model, bases, gm.q, j_star, values, eta, alpha_p, complement=True)
-
-
-def _split(r: np.ndarray, sizes) -> list:
-    out = []
-    offset = 0
-    for k in sizes:
-        out.append(np.asarray(r[offset : offset + k]))
-        offset += k
-    return out
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import null_space
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import AssumptionViolationError, NumericalError, StructuralError
 
@@ -72,15 +73,6 @@ class ValidationReport:
     messages: list = field(default_factory=list)
 
 
-def _reachability_closure(adj: np.ndarray) -> np.ndarray:
-    """Boolean transitive closure by repeated squaring."""
-    reach = adj.copy()
-    m = adj.shape[0]
-    for _ in range(int(np.ceil(np.log2(max(m, 2)))) + 1):
-        reach = reach | (reach @ reach)
-    return reach
-
-
 _ROWS_MESSAGE = "rows of P must be nonnegative and sum to 1"
 
 
@@ -98,7 +90,6 @@ def _require_stochastic_rows(model: MarkovModel) -> None:
 def validate_chain(model: MarkovModel, raise_on_error: bool = True) -> ValidationReport:
     """Check row-stochasticity plus irreducibility and aperiodicity (A2)."""
     P = model.P
-    m = model.m
     messages = []
 
     row_ok = _rows_stochastic(P)
@@ -107,20 +98,20 @@ def validate_chain(model: MarkovModel, raise_on_error: bool = True) -> Validatio
         if raise_on_error:
             raise StructuralError("; ".join(messages))
 
-    adj = P > 0
-    reach = _reachability_closure(adj)
-    irreducible = bool(reach.all())
+    # Irreducible: one strongly connected component of the transition graph.
+    # Period: the gcd over the edges (u, v) of level(u) + 1 - level(v), where
+    # level is the BFS distance from state 0; aperiodic when it is 1.
+    adj = csr_matrix(P > 0)
+    n_comp, _ = connected_components(adj, connection="strong")
+    irreducible = bool(n_comp == 1)
     if not irreducible:
         messages.append("chain is reducible")
 
-    # Strict positivity of P^k for k = m^2 is sufficient for aperiodicity of
-    # an irreducible chain at this scale; computed on the boolean skeleton.
     aperiodic = False
     if irreducible:
-        power = adj.copy()
-        for _ in range(int(np.ceil(np.log2(max(m * m, 2)))) + 1):
-            power = (power @ power)
-        aperiodic = bool(power.all())
+        level = shortest_path(adj, unweighted=True, indices=0).astype(np.int64)
+        u, v = adj.nonzero()
+        aperiodic = bool(np.gcd.reduce(level[u] + 1 - level[v]) == 1)
         if not aperiodic:
             messages.append("chain is periodic")
 

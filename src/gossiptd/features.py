@@ -63,6 +63,10 @@ class BasisEnsemble:
     def sizes(self) -> tuple:
         return tuple(b.n_features for b in self.bases)
 
+    def split(self, r: np.ndarray) -> list:
+        """Split a concatenated weight vector into per-agent pieces."""
+        return np.split(np.asarray(r), np.cumsum(self.sizes)[:-1])
+
     def to_json(self) -> str:
         return json.dumps({"agents": [{"phi": b.phi.tolist()} for b in self.bases]})
 
@@ -110,16 +114,6 @@ def projection_apply(
             f"agent {basis.agent_id}: weighted Gram matrix is singular"
         ) from exc
     return phi @ coeffs
-
-
-def projection_coefficients(
-    basis: FeatureBasis, eta: StationaryWeights, x: np.ndarray
-) -> np.ndarray:
-    """Coefficients r with phi r = projection of x (used by exact baselines)."""
-    phi = basis.phi
-    d = eta.eta
-    gram = phi.T @ (d[:, None] * phi)
-    return np.linalg.solve(gram, phi.T @ (d * x))
 
 
 def projection_onto_ones_complement(

@@ -97,8 +97,14 @@ def validate_gossip(gm: GossipMatrix, raise_on_error: bool = True) -> GossipRepo
     return GossipReport(ok, doubly, irreducible, aperiodic, warnings)
 
 
-def sample_neighbor(gm: GossipMatrix, i: int, rng: np.random.Generator) -> int:
-    """Draw agent j with probability q(i,j) by inverse CDF over the row."""
-    cdf = np.cumsum(gm.q[i])
-    j = int(np.searchsorted(cdf, rng.random(), side="right"))
-    return min(j, gm.n - 1)
+def sample_neighbors(gm: GossipMatrix, u: np.ndarray) -> np.ndarray:
+    """Polled agents for T x n uniforms u: entry (t, i) is row i of Q's
+    inverse CDF at u[t, i]."""
+    cdfs = gm.row_cdfs()
+    return np.stack(
+        [
+            np.minimum(np.searchsorted(cdfs[i], u[:, i], side="right"), gm.n - 1)
+            for i in range(gm.n)
+        ],
+        axis=1,
+    )

@@ -181,7 +181,6 @@ def prepare(config: ExperimentConfig):
     if orth:
         bases = orthogonalize_ensemble(bases, eta)
     aug = augmented.build_augmented(config.model, config.gossip, bases, eta)
-    augmented.verify_lifted_chain(aug)
     if config.criterion == "discounted":
         fp = augmented.solve_discounted_fixed_point(aug, config.alpha)
     else:

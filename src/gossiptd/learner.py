@@ -20,7 +20,7 @@ from . import chain as chain_mod
 from .chain import MarkovModel
 from .errors import DivergenceError, StructuralError
 from .features import BasisEnsemble, validate_independence
-from .gossip import GossipMatrix, validate_gossip
+from .gossip import GossipMatrix, sample_neighbors, validate_gossip
 
 WEIGHT_BLOWUP = 1e12
 
@@ -282,13 +282,7 @@ def run(
     gammas = config.schedule.gammas(T)
 
     if config.mode == "distributed":
-        u = rng_gossip.random((T, n))
-        cdfs = gm.row_cdfs()
-        neighbors = np.empty((T, n), dtype=np.int64)
-        for i in range(n):
-            neighbors[:, i] = np.minimum(
-                np.searchsorted(cdfs[i], u[:, i], side="right"), n - 1
-            )
+        neighbors = sample_neighbors(gm, rng_gossip.random((T, n)))
     else:
         neighbors = np.broadcast_to(np.arange(n), (T, n))
 

@@ -19,6 +19,76 @@ def random_basis(rng, m, k, agent_id=0):
     return g.FeatureBasis(phi=rng.normal(size=(m, k)), agent_id=agent_id)
 
 
+def random_graph_chain(rng, m, kind):
+    """Chain on m states whose transition graph is drawn at random.
+
+    "sparse": each edge with a random density; "permutation": a random
+    permutation plus a few extra edges (often periodic); "cyclic": states in
+    random classes 0..d-1 with edges only from class k to class k+1 mod d
+    (period a multiple of a divisor of d). Every row keeps at least one edge.
+    """
+    if kind == "sparse":
+        mask = rng.random((m, m)) < rng.uniform(0.1, 0.6)
+    elif kind == "permutation":
+        mask = np.eye(m, dtype=bool)[rng.permutation(m)]
+        mask |= rng.random((m, m)) < rng.uniform(0.0, 0.15)
+    else:
+        cls = rng.integers(0, rng.integers(2, m + 2), size=m)
+        d = cls.max() + 1
+        mask = (cls[None, :] == (cls[:, None] + 1) % d) & (rng.random((m, m)) < 0.6)
+    empty = ~mask.any(axis=1)
+    mask[empty, rng.integers(0, m, size=int(empty.sum()))] = True
+    P = mask * rng.uniform(0.1, 1.0, size=(m, m))
+    P /= P.sum(axis=1, keepdims=True)
+    return g.MarkovModel(P=P, c=np.zeros((m, m)))
+
+
+def _bool_power(adj, k):
+    out = np.eye(adj.shape[0], dtype=bool)
+    for _ in range(k):
+        out = (out.astype(np.int64) @ adj.astype(np.int64)) > 0
+    return out
+
+
+def matrix_power_validation(P):
+    """ValidationReport of a row-stochastic P from boolean matrix powers.
+
+    Irreducible iff (I + A)^(m-1) > 0, and primitive (irreducible and
+    aperiodic) iff A^((m-1)^2 + 1) > 0 (Wielandt), for the skeleton A = P > 0.
+    """
+    from gossiptd.chain import ValidationReport
+
+    m = P.shape[0]
+    adj = P > 0
+    irreducible = bool(_bool_power(adj | np.eye(m, dtype=bool), m - 1).all())
+    primitive = bool(_bool_power(adj, (m - 1) ** 2 + 1).all())
+    if not irreducible:
+        messages = ["chain is reducible"]
+    elif not primitive:
+        messages = ["chain is periodic"]
+    else:
+        messages = []
+    return ValidationReport(primitive, True, irreducible, primitive, messages)
+
+
+def random_doubly_stochastic(rng, n):
+    """Convex combination of the uniform matrix and random permutations."""
+    w = rng.dirichlet(np.ones(4))
+    q = w[0] * np.full((n, n), 1.0 / n)
+    for wk in w[1:]:
+        q += wk * np.eye(n)[rng.permutation(n)]
+    return g.GossipMatrix(q=q)
+
+
+def kronecker_fixed_point_system(aug, alpha, target):
+    """Psi^T diag(nu) (alpha rho - I) Psi and -Psi^T diag(nu) target~ from the
+    dense lifted matrices."""
+    psi_nu = aug.Psi.T * aug.nu[None, :]
+    A = psi_nu @ (alpha * aug.rho - np.eye(len(aug.nu))) @ aug.Psi
+    b = -psi_nu @ np.tile(target, aug.n_agents)
+    return A, b
+
+
 def birth_death_stationary(P):
     """Detailed-balance closed form eta(i+1)/eta(i) = p_up(i)/p_down(i+1)."""
     m = P.shape[0]

@@ -4,7 +4,14 @@ import pytest
 import gossiptd as g
 from gossiptd.errors import AssumptionViolationError
 
-from helpers import classical_td_fixed_point, random_basis, random_chain
+from gossiptd.augmented import _assemble
+from helpers import (
+    classical_td_fixed_point,
+    kronecker_fixed_point_system,
+    random_basis,
+    random_chain,
+    random_doubly_stochastic,
+)
 
 
 def _single_agent(model, basis):
@@ -48,8 +55,50 @@ class TestBuildAugmented:
         assert [len(p) for p in parts] == [4, 3, 2]
         np.testing.assert_array_equal(np.concatenate(parts), r)
 
-    def test_lifted_chain_regular_for_queue(self, queue_model, queue_q, queue_bases):
-        g.verify_lifted_chain(g.build_augmented(queue_model, queue_q, queue_bases))
+    def test_non_stationary_eta_rejected(self, queue_model, queue_q, queue_bases):
+        eta = g.StationaryWeights(eta=np.full(51, 1 / 51))
+        with pytest.raises(AssumptionViolationError, match="not stationary"):
+            g.build_augmented(queue_model, queue_q, queue_bases, eta)
+
+
+def _factor_case(case):
+    """(model, gossip, bases): the queue preset, then random chains."""
+    if case == "queue":
+        return g.build_queue_chain(g.QueueSpec()), g.GossipMatrix.preset("queue-3"), (
+            g.build_queue_bases()
+        )
+    m, n = case
+    rng = np.random.default_rng(m * n)
+    sizes = rng.integers(1, 4, size=n)
+    bases = tuple(random_basis(rng, m, int(k), a) for a, k in enumerate(sizes))
+    return (
+        random_chain(rng, m),
+        random_doubly_stochastic(rng, n),
+        g.BasisEnsemble(bases=bases),
+    )
+
+
+class TestFactorAssembly:
+    @pytest.mark.parametrize(
+        "case", ["queue", (8, 3), (6, 4), (12, 2)], ids=["queue", "m8n3", "m6n4", "m12n2"]
+    )
+    def test_matches_kronecker_assembly(self, case):
+        model, gm, bases = _factor_case(case)
+        eta = g.stationary_distribution(model)
+        cbar = g.mean_cost(model)
+        for alpha, target, ens in (
+            (0.9, cbar, bases),
+            (
+                1.0,
+                cbar - g.average_cost(model, eta),
+                g.orthogonalize_ensemble(bases, eta),
+            ),
+        ):
+            aug = g.build_augmented(model, gm, ens, eta)
+            A, b = _assemble(aug, alpha, target)
+            A_ref, b_ref = kronecker_fixed_point_system(aug, alpha, target)
+            np.testing.assert_allclose(A, A_ref, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-15)
 
 
 class TestDiscountedFixedPoint:
@@ -105,6 +154,14 @@ class TestA6:
         aug = g.build_augmented(queue_model, queue_q, ens)
         with pytest.raises(AssumptionViolationError, match=r"\(A6\)"):
             g.check_a6(aug)
+
+    def test_constant_feature_in_one_agent_passes(
+        self, queue_model, queue_q, queue_bases
+    ):
+        # Psi is block-diagonal: e is in its range only if every agent represents 1
+        const = g.FeatureBasis(phi=np.column_stack([np.ones(51), np.arange(51.0)]))
+        ens = g.BasisEnsemble(bases=(const, *queue_bases.bases[1:]))
+        g.check_a6(g.build_augmented(queue_model, queue_q, ens))
 
 
 class TestAverageFixedPoint:

@@ -7,8 +7,10 @@ from gossiptd.errors import AssumptionViolationError, NumericalError, Structural
 from helpers import (
     birth_death_stationary,
     cesaro_differential_value,
+    matrix_power_validation,
     power_series_value,
     random_chain,
+    random_graph_chain,
 )
 
 
@@ -35,6 +37,33 @@ class TestValidateChain:
         model = g.MarkovModel(P=np.eye(2), c=np.zeros((2, 2)))
         with pytest.raises(AssumptionViolationError, match=r"\(A2\)"):
             g.validate_chain(model)
+
+    def test_matches_matrix_power_reference(self):
+        rng = np.random.default_rng(0)
+        outcomes = {}
+        for trial in range(600):
+            kind = ("sparse", "permutation", "cyclic")[trial % 3]
+            model = random_graph_chain(rng, int(rng.integers(1, 9)), kind)
+            expected = matrix_power_validation(model.P)
+            assert g.validate_chain(model, raise_on_error=False) == expected, model.P
+            key = tuple(expected.messages)
+            outcomes[key] = outcomes.get(key, 0) + 1
+        # primitive, reducible and periodic chains are all well represented
+        assert len(outcomes) == 3 and min(outcomes.values()) >= 50, outcomes
+
+    def test_accepts_kron_of_primitive_chains(self, queue_model, queue_q):
+        # (Q x P)^k = Q^k x P^k, so the lifted chain is primitive when Q and P are
+        rng = np.random.default_rng(1)
+        pairs = [(queue_q.q, queue_model.P)]
+        while len(pairs) < 40:
+            Q = random_graph_chain(rng, int(rng.integers(1, 7)), "permutation").P
+            P = random_graph_chain(rng, int(rng.integers(1, 7)), "permutation").P
+            if matrix_power_validation(Q).ok and matrix_power_validation(P).ok:
+                pairs.append((Q, P))
+        for Q, P in pairs:
+            lifted = np.kron(Q, P)
+            model = g.MarkovModel(P=lifted, c=np.zeros_like(lifted))
+            assert g.validate_chain(model).ok
 
 
 class TestStationaryDistribution:

@@ -3,7 +3,7 @@ import pytest
 
 import gossiptd as g
 from gossiptd.errors import AssumptionViolationError, StructuralError
-from gossiptd.gossip import sample_neighbor
+from gossiptd.gossip import sample_neighbors
 
 
 class TestValidateGossip:
@@ -54,38 +54,29 @@ class TestValidateGossip:
 
 class TestSampleNeighbor:
     def test_frequencies_match_rows(self, queue_q):
-        rng = np.random.default_rng(0)
         n_samples = 300_000
+        u = np.random.default_rng(0).random((n_samples, queue_q.n))
+        draws = sample_neighbors(queue_q, u)
         for i in range(queue_q.n):
-            counts = np.zeros(queue_q.n)
-            draws = np.searchsorted(
-                np.cumsum(queue_q.q[i]), rng.random(n_samples), side="right"
-            )
-            for j, cnt in zip(*np.unique(np.minimum(draws, queue_q.n - 1),
-                                         return_counts=True)):
-                counts[j] = cnt
-            np.testing.assert_allclose(counts / n_samples, queue_q.q[i], atol=0.01)
-
-    def test_scalar_sampler_matches_vectorized(self, queue_q):
-        draws_a = [
-            sample_neighbor(queue_q, 1, np.random.default_rng(7)) for _ in range(1)
-        ]
-        draws_b = [
-            sample_neighbor(queue_q, 1, np.random.default_rng(7)) for _ in range(1)
-        ]
-        assert draws_a == draws_b
+            freq = np.bincount(draws[:, i], minlength=queue_q.n) / n_samples
+            np.testing.assert_allclose(freq, queue_q.q[i], atol=0.01)
 
     def test_deterministic_row(self):
         q = np.array([[0.0, 1.0], [1.0, 0.0]])
         gm = g.GossipMatrix(q=q)
-        rng = np.random.default_rng(3)
-        assert all(sample_neighbor(gm, 0, rng) == 1 for _ in range(50))
-        assert all(sample_neighbor(gm, 1, rng) == 0 for _ in range(50))
+        draws = sample_neighbors(gm, np.random.default_rng(3).random((50, 2)))
+        assert np.all(draws[:, 0] == 1) and np.all(draws[:, 1] == 0)
 
     def test_in_range_always(self, queue_q):
-        rng = np.random.default_rng(11)
-        draws = [sample_neighbor(queue_q, i % 3, rng) for i in range(1000)]
-        assert min(draws) >= 0 and max(draws) < queue_q.n
+        u = np.random.default_rng(11).random((1000, queue_q.n))
+        draws = sample_neighbors(queue_q, u)
+        assert draws.min() >= 0 and draws.max() < queue_q.n
+        # ten entries of 0.1 sum to just below 1: a draw past the rounded
+        # row sum goes to the last agent
+        uniform = g.GossipMatrix(q=np.full((10, 10), 0.1))
+        assert uniform.row_cdfs()[0, -1] < 1.0
+        top = sample_neighbors(uniform, np.full((1, 10), np.nextafter(1.0, 0.0)))
+        assert np.all(top == 9)
 
 
 class TestJsonRoundTrip:

@@ -220,6 +220,20 @@ class TestCli:
             err = capsys.readouterr().err
             assert err == "error: rows of P must be nonnegative and sum to 1\n", command
 
+    def test_agent_count_mismatch_exits_1_for_every_command(self, tmp_path, capsys):
+        path = _write_config(
+            tmp_path,
+            {
+                "preset": "queue-3-discounted",
+                "gossip": {"Q": [[0.5, 0.5], [0.5, 0.5]]},
+                "out_dir": str(tmp_path / "out"),
+            },
+        )
+        for command in ("validate", "solve", "bounds", "run"):
+            assert main([command, path]) == 1, command
+            err = capsys.readouterr().err
+            assert err == "error: gossip matrix has 2 agents but ensemble has 3\n", command
+
     def test_divergent_run_exit_3(self, tmp_path, capsys):
         path = _write_config(
             tmp_path,
