@@ -61,6 +61,17 @@ class TestSampleNeighbor:
             freq = np.bincount(draws[:, i], minlength=queue_q.n) / n_samples
             np.testing.assert_allclose(freq, queue_q.q[i], atol=0.01)
 
+    def test_scalar_sampler_matches_vectorized(self, queue_q):
+        # scalar reference: one inverse-CDF draw at a time over the row's
+        # running sum, clamped to the last agent
+        u = np.random.default_rng(7).random((500, queue_q.n))
+        draws = sample_neighbors(queue_q, u)
+        for t in range(u.shape[0]):
+            for i in range(queue_q.n):
+                cdf = np.cumsum(queue_q.q[i])
+                j = min(int(np.searchsorted(cdf, u[t, i], side="right")), queue_q.n - 1)
+                assert draws[t, i] == j
+
     def test_deterministic_row(self):
         q = np.array([[0.0, 1.0], [1.0, 0.0]])
         gm = g.GossipMatrix(q=q)
