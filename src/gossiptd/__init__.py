@@ -1,6 +1,7 @@
 """Gossip-coupled distributed TD(0) policy evaluation on finite Markov chains."""
 
 from .chain import (
+    Criterion,
     MarkovModel,
     StationaryWeights,
     add_self_loops,
@@ -31,15 +32,13 @@ from .augmented import (
     FixedPoint,
     build_augmented,
     check_a6,
-    solve_average_fixed_point,
-    solve_discounted_fixed_point,
+    solve_fixed_point,
 )
 from .learner import AgentEnsemble, PowerSchedule, RunConfig, Trajectory, run
 from .analysis import (
     ErrorReport,
     MetricsSeries,
-    compute_average_errors,
-    compute_discounted_errors,
+    compute_errors,
     metrics_over_time,
 )
 from .harness import (

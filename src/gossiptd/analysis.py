@@ -7,7 +7,6 @@ scalar inequality linking the worst agent to the worst basis.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -15,9 +14,9 @@ import numpy as np
 
 from . import chain as chain_mod
 from .augmented import FixedPoint
-from .chain import MarkovModel, StationaryWeights, weighted_norm
+from .chain import Criterion, MarkovModel, StationaryWeights, weighted_norm
 from .errors import StructuralError
-from .features import BasisEnsemble, projection_apply, projection_onto_ones_complement
+from .features import BasisEnsemble, projection_apply
 from .gossip import GossipMatrix
 from .learner import Trajectory
 
@@ -73,30 +72,42 @@ def _beta_and_side_condition(q: np.ndarray, e_star: np.ndarray, modulus: float):
     return e2_bound, beta, side
 
 
-def _report(model, bases, q, target, values, eta, modulus, complement=False):
-    n = bases.n_agents
-    if complement:
-        errs = [
-            weighted_norm(projection_onto_ones_complement(eta, target - v), eta)
-            for v in values
-        ]
-    else:
-        errs = [weighted_norm(target - v, eta) for v in values]
-    e = np.array(errs)
+def compute_errors(
+    model: MarkovModel,
+    bases: BasisEnsemble,
+    gm: GossipMatrix,
+    criterion: Criterion,
+    fixed_point: FixedPoint,
+    eta: StationaryWeights | None = None,
+) -> ErrorReport:
+    """Errors at the fixed point against the criterion's exact value.
+
+    Average-cost errors are taken modulo constant shifts; they need bases
+    orthogonalized against the constant vector and a single-equivalence-class
+    chain (for the contraction factor).
+    """
+    if eta is None:
+        eta = chain_mod.stationary_distribution(model)
+    if criterion.average:
+        for b in bases.bases:
+            if np.max(np.abs(eta.eta @ b.phi)) > 1e-8:
+                raise StructuralError(
+                    f"agent {b.agent_id}: features are not orthogonal to the "
+                    "constant vector; orthogonalize the ensemble first"
+                )
+    modulus = criterion.modulus(model, eta)
+    target = criterion.value(model, eta)
+    parts = bases.split(fixed_point.r_star)
+    values = [b.phi @ r for b, r in zip(bases.bases, parts)]
+    e = np.array(
+        [weighted_norm(criterion.deviation(target - v, eta), eta) for v in values]
+    )
     proj_targets = [projection_apply(b, eta, target) for b in bases.bases]
     e_star = np.array([weighted_norm(target - p, eta) for p in proj_targets])
 
-    e2_bound, beta, side = _beta_and_side_condition(q, e_star, modulus)
+    e2_bound, beta, side = _beta_and_side_condition(gm.q, e_star, modulus)
     max_es = float(np.max(e_star))
-    max_error_bound = np.sqrt(beta / (1.0 - modulus**2)) * max_es
-
     jbar = np.mean(values, axis=0)
-    if complement:
-        jbar_error = weighted_norm(
-            projection_onto_ones_complement(eta, target - jbar), eta
-        )
-    else:
-        jbar_error = weighted_norm(target - jbar, eta)
     pi_target = np.mean(proj_targets, axis=0)
     jbar_bound = (
         (1.0 - modulus) * weighted_norm(target - pi_target, eta)
@@ -110,53 +121,10 @@ def _report(model, bases, q, target, values, eta, modulus, complement=False):
         beta=beta,
         side_condition_met=side,
         contraction_modulus=modulus,
-        max_error_bound=max_error_bound,
-        jbar_error=float(jbar_error),
+        max_error_bound=np.sqrt(beta / (1.0 - modulus**2)) * max_es,
+        jbar_error=weighted_norm(criterion.deviation(target - jbar, eta), eta),
         jbar_bound=float(jbar_bound),
     )
-
-
-def compute_discounted_errors(
-    model: MarkovModel,
-    bases: BasisEnsemble,
-    gm: GossipMatrix,
-    alpha: float,
-    fixed_point: FixedPoint,
-    eta: StationaryWeights | None = None,
-) -> ErrorReport:
-    """Discounted-criterion errors against the exact value function."""
-    if eta is None:
-        eta = chain_mod.stationary_distribution(model)
-    j_star = chain_mod.discounted_value(model, alpha)
-    parts = bases.split(fixed_point.r_star)
-    values = [b.phi @ r for b, r in zip(bases.bases, parts)]
-    return _report(model, bases, gm.q, j_star, values, eta, alpha)
-
-
-def compute_average_errors(
-    model: MarkovModel,
-    bases: BasisEnsemble,
-    gm: GossipMatrix,
-    fixed_point: FixedPoint,
-    eta: StationaryWeights | None = None,
-) -> ErrorReport:
-    """Average-cost errors against the basic differential value, modulo
-    constant shifts; requires bases orthogonalized against the constant
-    vector and a single-equivalence-class chain (for the contraction factor).
-    """
-    if eta is None:
-        eta = chain_mod.stationary_distribution(model)
-    for b in bases.bases:
-        if np.max(np.abs(eta.eta @ b.phi)) > 1e-8:
-            raise StructuralError(
-                f"agent {b.agent_id}: features are not orthogonal to the "
-                "constant vector; orthogonalize the ensemble first"
-            )
-    alpha_p = chain_mod.orthogonal_contraction_factor(model, eta)
-    j_star = chain_mod.basic_differential_value(model, eta)
-    parts = bases.split(fixed_point.r_star)
-    values = [b.phi @ r for b, r in zip(bases.bases, parts)]
-    return _report(model, bases, gm.q, j_star, values, eta, alpha_p, complement=True)
 
 
 @dataclass(frozen=True)
@@ -167,15 +135,12 @@ class MetricsSeries:
     variance_unweighted: np.ndarray
 
     def write_csv(self, path) -> None:
+        """The bytes csv.writer gives for these rows, floats written with repr."""
+        columns = (self.max_error, self.variance_weighted, self.variance_unweighted)
+        rows = zip(self.steps.tolist(), *(c.tolist() for c in columns))
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["step", "max_error", "variance_weighted", "variance_unweighted"]
-            )
-            for row in zip(
-                self.steps, self.max_error, self.variance_weighted, self.variance_unweighted
-            ):
-                writer.writerow([int(row[0])] + [repr(float(v)) for v in row[1:]])
+            fh.write("step,max_error,variance_weighted,variance_unweighted\r\n")
+            fh.writelines(f"{s},{a!r},{b!r},{c!r}\r\n" for s, a, b, c in rows)
 
 
 def metrics_over_time(
@@ -192,11 +157,8 @@ def metrics_over_time(
     """
     if eta is None:
         eta = chain_mod.stationary_distribution(model)
-    cfg = trajectory.config
-    if cfg.criterion == "discounted":
-        target = chain_mod.discounted_value(model, cfg.alpha)
-    else:
-        target = chain_mod.basic_differential_value(model, eta)
+    criterion = trajectory.config.criterion
+    target = criterion.value(model, eta)
     num = len(trajectory.steps)
     max_error = np.empty(num)
     var_w = np.empty(num)
@@ -211,9 +173,7 @@ def metrics_over_time(
             [r[recs] @ b.phi.T for r, b in zip(trajectory.weights, bases.bases)],
             axis=1,
         )
-        diff = target - values
-        if cfg.criterion == "average":
-            diff -= (diff @ w)[..., None]
+        diff = criterion.deviation(target - values, eta)
         diff *= diff
         max_error[recs] = np.sqrt(diff @ w).max(axis=1)
         values -= values.mean(axis=1, keepdims=True)

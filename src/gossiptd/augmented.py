@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from . import chain as chain_mod
-from .chain import MarkovModel, StationaryWeights
+from .chain import Criterion, MarkovModel, StationaryWeights
 from .errors import AssumptionViolationError, NumericalError, StructuralError
 from .features import BasisEnsemble, validate_independence
 from .gossip import GossipMatrix, validate_gossip
@@ -141,26 +141,6 @@ def _assemble(aug: AugmentedSystem, alpha: float, target: np.ndarray):
     return A / aug.n_agents, -(dphi.T @ target) / aug.n_agents
 
 
-def _solve(aug: AugmentedSystem, alpha: float, target: np.ndarray, what: str):
-    A, b = _assemble(aug, alpha, target)
-    try:
-        r = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"{what} fixed-point system is singular") from exc
-    residual = float(np.linalg.norm(A @ r - b))
-    if residual > SOLVER_TOL:
-        raise NumericalError(f"fixed-point residual {residual:.2e} above tolerance")
-    return r, residual
-
-
-def solve_discounted_fixed_point(aug: AugmentedSystem, alpha: float) -> FixedPoint:
-    """Solve Psi^T diag(nu) (alpha rho - I) Psi r = -Psi^T diag(nu) ctilde."""
-    if not 0.0 < alpha < 1.0:
-        raise NumericalError(f"alpha must lie in (0,1), got {alpha}")
-    r, residual = _solve(aug, alpha, chain_mod.mean_cost(aug.model), "discounted")
-    return FixedPoint(r_star=r, residual=residual)
-
-
 def check_a6(aug: AugmentedSystem) -> None:
     """The all-ones vector must not be representable: e not in range(Psi).
 
@@ -177,9 +157,22 @@ def check_a6(aug: AugmentedSystem) -> None:
     )
 
 
-def solve_average_fixed_point(aug: AugmentedSystem, mu_star: float) -> FixedPoint:
-    """Solve Psi^T diag(nu) (rho - I) Psi r = -Psi^T diag(nu) (ctilde - mu* e)."""
-    check_a6(aug)
-    target = chain_mod.mean_cost(aug.model) - mu_star
-    r, residual = _solve(aug, 1.0, target, "average-cost")
+def solve_fixed_point(aug: AugmentedSystem, criterion: Criterion) -> FixedPoint:
+    """Solve Psi^T diag(nu) (alpha rho - I) Psi r = -Psi^T diag(nu) (ctilde - mu* e).
+
+    Discounted: alpha from the criterion and no mu* term. Average cost:
+    alpha = 1 and mu* the average cost, which needs (A6).
+    """
+    if criterion.average:
+        check_a6(aug)
+    mu_star = criterion.mu_star(aug.model, aug.eta)
+    target = chain_mod.mean_cost(aug.model) - (mu_star or 0.0)
+    A, b = _assemble(aug, criterion.discount, target)
+    try:
+        r = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("fixed-point system is singular") from exc
+    residual = float(np.linalg.norm(A @ r - b))
+    if residual > SOLVER_TOL:
+        raise NumericalError(f"fixed-point residual {residual:.2e} above tolerance")
     return FixedPoint(r_star=r, residual=residual, mu_star=mu_star)

@@ -3,7 +3,8 @@
 Everything here is deterministic dense linear algebra: stationary
 distribution, discounted and average-cost value functions, Bellman
 operators, and the contraction factor of P restricted to the subspace
-orthogonal to the constant vector.
+orthogonal to the constant vector. `Criterion` picks, for the discounted or
+the average-cost criterion, which of these quantities a computation uses.
 """
 
 from __future__ import annotations
@@ -73,28 +74,15 @@ class ValidationReport:
     messages: list = field(default_factory=list)
 
 
-_ROWS_MESSAGE = "rows of P must be nonnegative and sum to 1"
-
-
-def _rows_stochastic(P: np.ndarray) -> bool:
-    """Every entry nonnegative and every row summing to 1 (false on NaN or inf)."""
-    return bool(np.all(P >= 0) and np.all(np.abs(P.sum(axis=1) - 1.0) < ROW_SUM_TOL))
-
-
-def _require_stochastic_rows(model: MarkovModel) -> None:
-    """The O(m^2) part of validate_chain, cheap enough to run before any solve."""
-    if not _rows_stochastic(model.P):
-        raise StructuralError(_ROWS_MESSAGE)
-
-
 def validate_chain(model: MarkovModel, raise_on_error: bool = True) -> ValidationReport:
     """Check row-stochasticity plus irreducibility and aperiodicity (A2)."""
     P = model.P
     messages = []
 
-    row_ok = _rows_stochastic(P)
+    # false on NaN or inf as well
+    row_ok = bool(np.all(P >= 0) and np.all(np.abs(P.sum(axis=1) - 1.0) < ROW_SUM_TOL))
     if not row_ok:
-        messages.append(_ROWS_MESSAGE)
+        messages.append("rows of P must be nonnegative and sum to 1")
         if raise_on_error:
             raise StructuralError("; ".join(messages))
 
@@ -294,6 +282,53 @@ def orthogonal_contraction_factor(
     B = np.linalg.solve(R.T, N.T).T
     factor = float(np.linalg.norm(sqrt_d[:, None] * (model.P @ B), ord=2))
     return factor
+
+
+@dataclass(frozen=True)
+class Criterion:
+    """The cost criterion: discounted with factor alpha, or average cost.
+
+    Average cost has alpha None; its learners also track mu with gain k,
+    mu <- mu + k gamma_t (c - mu), and its errors ignore constant shifts.
+    """
+
+    alpha: float | None = 0.9
+    k: float = 1.0
+
+    def __post_init__(self):
+        if self.alpha is not None and not 0.0 < self.alpha < 1.0:
+            raise StructuralError("discounted mode needs alpha in (0,1)")
+        if self.k <= 0:
+            raise StructuralError("k must be positive")
+
+    @property
+    def average(self) -> bool:
+        return self.alpha is None
+
+    @property
+    def discount(self) -> float:
+        """Weight of the bootstrapped value: alpha, or 1 for average cost."""
+        return 1.0 if self.average else self.alpha
+
+    def mu_star(self, model: MarkovModel, eta: StationaryWeights) -> float | None:
+        return average_cost(model, eta) if self.average else None
+
+    def value(self, model: MarkovModel, eta: StationaryWeights) -> np.ndarray:
+        """The exact target: J_alpha, or the basic differential value."""
+        if self.average:
+            return basic_differential_value(model, eta)
+        return discounted_value(model, self.alpha)
+
+    def modulus(self, model: MarkovModel, eta: StationaryWeights) -> float:
+        """Contraction modulus of the error bounds: alpha, or alpha_P."""
+        if self.average:
+            return orthogonal_contraction_factor(model, eta)
+        return self.alpha
+
+    def deviation(self, x: np.ndarray, eta: StationaryWeights) -> np.ndarray:
+        """The part of x (along its last axis) that the error norm measures:
+        x itself, or for average cost its projection orthogonal to 1."""
+        return x - (x @ eta.eta)[..., None] if self.average else x
 
 
 def add_self_loops(model: MarkovModel, delta: float) -> MarkovModel:

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from . import augmented, harness
+from . import analysis, augmented, harness
 from .errors import (
     AssumptionViolationError,
     DivergenceError,
@@ -68,8 +68,7 @@ def _load_config(args) -> harness.ExperimentConfig:
 
 def _cmd_validate(config: harness.ExperimentConfig) -> int:
     augmented.build_augmented(config.model, config.gossip, config.bases)
-    if config.criterion == "average":
-        harness.prepare(config)  # exercises orthogonalization and (A6)
+    harness.prepare(config)  # orthogonalization, (A6) and the fixed-point solve
     print("ok: all assumptions hold")
     return EXIT_OK
 
@@ -81,17 +80,10 @@ def _cmd_solve(config: harness.ExperimentConfig) -> int:
 
 
 def _cmd_bounds(config: harness.ExperimentConfig) -> int:
-    from . import analysis
-
     eta, bases, _, fp = harness.prepare(config)
-    if config.criterion == "discounted":
-        report = analysis.compute_discounted_errors(
-            config.model, bases, config.gossip, config.alpha, fp, eta
-        )
-    else:
-        report = analysis.compute_average_errors(
-            config.model, bases, config.gossip, fp, eta
-        )
+    report = analysis.compute_errors(
+        config.model, bases, config.gossip, config.run.criterion, fp, eta
+    )
     print(report.to_json())
     return EXIT_OK
 

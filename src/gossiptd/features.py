@@ -72,7 +72,10 @@ class BasisEnsemble:
 
     @classmethod
     def from_json(cls, text: str) -> "BasisEnsemble":
-        doc = json.loads(text)
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "BasisEnsemble":
         return cls(
             bases=tuple(
                 FeatureBasis(phi=np.array(a["phi"], dtype=float), agent_id=i)

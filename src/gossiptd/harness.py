@@ -17,11 +17,11 @@ import numpy as np
 from . import analysis, augmented, chain as chain_mod, learner
 from .analysis import ErrorReport, MetricsSeries
 from .augmented import FixedPoint
-from .chain import MarkovModel
+from .chain import Criterion, MarkovModel
 from .errors import StructuralError
 from .features import BasisEnsemble, build_queue_bases, orthogonalize_ensemble
 from .gossip import GossipMatrix
-from .learner import RunConfig, Trajectory
+from .learner import PowerSchedule, RunConfig, Trajectory
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,6 @@ class ExperimentConfig:
     model: MarkovModel
     gossip: GossipMatrix
     bases: BasisEnsemble
-    criterion: str = "discounted"
-    alpha: float | None = 0.9
     orthogonalize: bool | None = None  # default: True for average cost
     run: RunConfig = field(default_factory=lambda: RunConfig(steps=200_000))
     out_dir: str = "out"
@@ -110,23 +108,25 @@ class ExperimentConfig:
                 raise StructuralError(f"unknown basis preset {bdoc['preset']!r}")
             bases = build_queue_bases(model.m)
         else:
-            bases = BasisEnsemble.from_json(json.dumps(bdoc))
+            bases = BasisEnsemble.from_dict(bdoc)
 
+        # The criterion is named here only; it reaches the rest as a Criterion.
         criterion = doc.get("criterion", "discounted")
-        alpha = doc.get("alpha", 0.9 if criterion == "discounted" else None)
-        run_doc = dict(doc.get("run", {}))
-        run_doc.setdefault("steps", 200_000)
-        run_doc["criterion"] = criterion
-        run_doc["alpha"] = alpha
-        cfg = RunConfig.from_dict(run_doc)
+        if criterion not in ("discounted", "average"):
+            raise StructuralError(f"unknown criterion {criterion!r}")
+        alpha = doc.get("alpha", 0.9) if criterion == "discounted" else None
+        if criterion == "discounted" and alpha is None:
+            raise StructuralError("discounted mode needs alpha in (0,1)")
+        run_doc = {"steps": 200_000, **doc.get("run", {})}
+        if isinstance(run_doc.get("schedule"), dict):
+            run_doc["schedule"] = PowerSchedule(**run_doc["schedule"])
+        run_doc["criterion"] = Criterion(alpha, run_doc.pop("k", 1.0))
         return cls(
             model=model,
             gossip=gm,
             bases=bases,
-            criterion=criterion,
-            alpha=alpha,
             orthogonalize=doc.get("orthogonalize"),
-            run=cfg,
+            run=RunConfig(**run_doc),
             out_dir=doc.get("out_dir", "out"),
         )
 
@@ -172,21 +172,18 @@ class ExperimentResult:
 
 def prepare(config: ExperimentConfig):
     """Validated (eta, bases, augmented system, fixed point) for a config."""
-    chain_mod._require_stochastic_rows(config.model)
+    chain_mod.validate_chain(config.model)
     eta = chain_mod.stationary_distribution(config.model)
+    criterion = config.run.criterion
     bases = config.bases
     orth = config.orthogonalize
     if orth is None:
-        orth = config.criterion == "average"
+        orth = criterion.average
     if orth:
         bases = orthogonalize_ensemble(bases, eta)
     aug = augmented.build_augmented(config.model, config.gossip, bases, eta)
-    if config.criterion == "discounted":
-        fp = augmented.solve_discounted_fixed_point(aug, config.alpha)
-    else:
-        mu_star = chain_mod.average_cost(config.model, eta)
-        fp = augmented.solve_average_fixed_point(aug, mu_star)
-    return eta, bases, aug, fp
+    return eta, bases, aug, augmented.solve_fixed_point(aug, criterion)
+
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -209,14 +206,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         uncoupled_metrics = analysis.metrics_over_time(
             uncoupled, config.model, bases, eta
         )
-        if config.criterion == "discounted":
-            report = analysis.compute_discounted_errors(
-                config.model, bases, config.gossip, config.alpha, fp, eta
-            )
-        else:
-            report = analysis.compute_average_errors(
-                config.model, bases, config.gossip, fp, eta
-            )
+        report = analysis.compute_errors(
+            config.model, bases, config.gossip, config.run.criterion, fp, eta
+        )
 
         def _write(name, writer):
             path = out / name
@@ -230,7 +222,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         _write("uncoupled_weights.csv", uncoupled.write_weights_csv)
         _write("coupled_metrics.csv", coupled_metrics.write_csv)
         _write("uncoupled_metrics.csv", uncoupled_metrics.write_csv)
-        if config.criterion == "average":
+        if config.run.criterion.average:
             _write("coupled_mu.csv", coupled.write_mu_csv)
             _write("uncoupled_mu.csv", uncoupled.write_mu_csv)
         runtime = time.monotonic() - start

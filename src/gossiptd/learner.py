@@ -9,7 +9,6 @@ z = (r_1..r_n, mu, 1), composed over segments of the trajectory.
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -17,7 +16,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import chain as chain_mod
-from .chain import MarkovModel
+from .chain import Criterion, MarkovModel
 from .errors import DivergenceError, StructuralError
 from .features import BasisEnsemble, validate_independence
 from .gossip import GossipMatrix, sample_neighbors, validate_gossip
@@ -68,9 +67,7 @@ class RunConfig:
     seed: int = 0
     schedule: PowerSchedule = field(default_factory=PowerSchedule)
     mode: str = "distributed"  # distributed | uncoupled | centralized
-    criterion: str = "discounted"  # discounted | average
-    alpha: float | None = 0.9
-    k: float = 1.0
+    criterion: Criterion = Criterion()
     record_every: int = 1000
     initial_state: int = 0
 
@@ -79,22 +76,8 @@ class RunConfig:
             raise StructuralError("steps must be >= 1")
         if self.mode not in ("distributed", "uncoupled", "centralized"):
             raise StructuralError(f"unknown mode {self.mode!r}")
-        if self.criterion not in ("discounted", "average"):
-            raise StructuralError(f"unknown criterion {self.criterion!r}")
-        if self.criterion == "discounted":
-            if self.alpha is None or not 0.0 < self.alpha < 1.0:
-                raise StructuralError("discounted mode needs alpha in (0,1)")
-        if self.k <= 0:
-            raise StructuralError("k must be positive")
         if self.record_every < 1:
             raise StructuralError("record_every must be >= 1")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RunConfig":
-        doc = dict(doc)
-        if "schedule" in doc and isinstance(doc["schedule"], dict):
-            doc["schedule"] = PowerSchedule(**doc["schedule"])
-        return cls(**doc)
 
 
 def td0_centralized_step(x, x_next, cost, r, phi, alpha, gamma_t):
@@ -165,22 +148,26 @@ class Trajectory:
         return len(self.weights)
 
     def write_weights_csv(self, path) -> None:
+        """One row per weight; the bytes csv.writer gives, floats written with repr."""
+        per_agent = [w.tolist() for w in self.weights]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "agent", "weight_index", "value"])
-            for rec, step in enumerate(self.steps):
-                for i, w in enumerate(self.weights):
-                    for j, value in enumerate(w[rec]):
-                        writer.writerow([int(step), i, j, repr(float(value))])
+            fh.write("step,agent,weight_index,value\r\n")
+            fh.writelines(
+                f"{step},{i},{j},{value!r}\r\n"
+                for step, *snapshot in zip(self.steps.tolist(), *per_agent)
+                for i, values in enumerate(snapshot)
+                for j, value in enumerate(values)
+            )
 
     def write_mu_csv(self, path) -> None:
         if self.mu is None:
             raise StructuralError("run has no mu series (discounted criterion)")
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "mu"])
-            for step, value in zip(self.steps, self.mu):
-                writer.writerow([int(step), repr(float(value))])
+            fh.write("step,mu\r\n")
+            fh.writelines(
+                f"{step},{value!r}\r\n"
+                for step, value in zip(self.steps.tolist(), self.mu.tolist())
+            )
 
 
 # The engine composes the TD steps of each segment of at most _SEGMENT steps
@@ -212,12 +199,12 @@ def _segments(steps: int, record_every: int):
     return starts, ends
 
 
-def _compose_maps(embed, states, costs, gammas, neighbors, starts, lengths, alpha, k):
+def _compose_maps(embed, states, costs, gammas, neighbors, starts, lengths, criterion):
     """Products of the per-step maps z <- (I + gamma_t X_t^T V_t) z, one per segment.
 
     `embed[i, s]` is agent i's feature row phi_i(s) placed in agent i's block
     of z = (r_1..r_n, [mu,] 1). Row i of X_t is embed[i, x_t]; row i of V_t
-    reads agent i's TD error off z. With `k` set, z carries mu in its
+    reads agent i's TD error off z. For average cost, z carries mu in its
     second-to-last coordinate and X_t, V_t have one more row for its update.
     Padding steps beyond a segment's length get gamma = 0.
     """
@@ -225,10 +212,11 @@ def _compose_maps(embed, states, costs, gammas, neighbors, starts, lengths, alph
     num = len(starts)
     one = dim - 1
     agents = np.arange(n)
-    rows = n if k is None else n + 1
+    alpha, k = criterion.discount, criterion.k
+    rows = n + criterion.average
     X = np.zeros((num, rows, dim))
     V = np.zeros((num, rows, dim))
-    if k is not None:
+    if criterion.average:
         X[:, n, one - 1] = 1.0
         V[:, n, one - 1] = -k
     maps = np.zeros((num, dim, dim))
@@ -240,7 +228,7 @@ def _compose_maps(embed, states, costs, gammas, neighbors, starts, lengths, alph
         X[:, :n] = embed[agents, x[:, None]]
         V[:, :n] = alpha * embed[neighbors[t], states[t + 1][:, None]] - X[:, :n]
         V[:, :n, one] = c[:, None]
-        if k is not None:
+        if criterion.average:
             V[:, :n, one - 1] = -1.0
             V[:, n, one] = k * c
         step = np.where(live, gammas[t], 0.0)[:, None, None] * X
@@ -286,14 +274,13 @@ def run(
     else:
         neighbors = np.broadcast_to(np.arange(n), (T, n))
 
-    average = config.criterion == "average"
+    average = config.criterion.average
     bounds = np.cumsum([0, *bases.sizes])
     K = int(bounds[-1])
     dim = K + 1 + average
     embed = np.zeros((n, model.m, dim))
     for i, b in enumerate(bases.bases):
         embed[i, :, bounds[i] : bounds[i + 1]] = b.phi
-    alpha, k = (1.0, config.k) if average else (config.alpha, None)
 
     starts, ends = _segments(T, config.record_every)
     recorded = (ends % config.record_every == 0) | (ends == T)
@@ -307,7 +294,7 @@ def run(
             hi = lo + chunk
             maps = _compose_maps(
                 embed, states, costs, gammas, neighbors,
-                starts[lo:hi], ends[lo:hi] - starts[lo:hi], alpha, k,
+                starts[lo:hi], ends[lo:hi] - starts[lo:hi], config.criterion,
             )
             for A, rec in zip(maps, recorded[lo:hi]):
                 z = A @ z

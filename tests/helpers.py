@@ -1,5 +1,8 @@
 """Shared oracle helpers: independent of the implementation paths they check."""
 
+import csv
+import io
+
 import numpy as np
 
 import gossiptd as g
@@ -222,7 +225,7 @@ def reference_run(model, bases, gm, config):
     gammas = config.schedule.gammas(T)
     phis = [b.phi for b in bases.bases]
     weights = [np.zeros(k) for k in bases.sizes]
-    average = config.criterion == "average"
+    average = config.criterion.average
     mu = 0.0 if average else None
     steps, snaps, mus = [0], [[w.copy() for w in weights]], [mu]
     for t in range(T):
@@ -231,23 +234,40 @@ def reference_run(model, bases, gm, config):
         gamma_t = gammas[t]
         if config.mode == "distributed" and average:
             weights, mu = avgcost_distributed_step(
-                x, x_next, cost, weights, mu, phis, config.k, gamma_t, neighbors[t]
+                x,
+                x_next,
+                cost,
+                weights,
+                mu,
+                phis,
+                config.criterion.k,
+                gamma_t,
+                neighbors[t],
             )
         elif config.mode == "distributed":
             weights = td0_distributed_step(
-                x, x_next, cost, weights, phis, config.alpha, gamma_t, neighbors[t]
+                x,
+                x_next,
+                cost,
+                weights,
+                phis,
+                config.criterion.alpha,
+                gamma_t,
+                neighbors[t],
             )
         elif average:
             pairs = [
                 avgcost_centralized_step(
-                    x, x_next, cost, w, mu, phi, config.k, gamma_t
+                    x, x_next, cost, w, mu, phi, config.criterion.k, gamma_t
                 )
                 for w, phi in zip(weights, phis)
             ]
             weights, mu = [p[0] for p in pairs], pairs[0][1]
         else:
             weights = [
-                td0_centralized_step(x, x_next, cost, w, phi, config.alpha, gamma_t)
+                td0_centralized_step(
+                    x, x_next, cost, w, phi, config.criterion.alpha, gamma_t
+                )
                 for w, phi in zip(weights, phis)
             ]
         if (t + 1) % config.record_every == 0 or t + 1 == T:
@@ -261,3 +281,38 @@ def reference_run(model, bases, gm, config):
             mus.append(mu)
     per_agent = [np.array([s[i] for s in snaps]) for i in range(n)]
     return np.array(steps), per_agent, (np.array(mus) if average else None)
+
+
+def csv_writer_bytes(header, rows):
+    """What csv.writer writes for the header and rows in its default dialect."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def weights_csv_reference(traj):
+    """A trajectory's weights CSV, one csv.writer row per weight."""
+    rows = (
+        [int(step), i, j, repr(float(value))]
+        for rec, step in enumerate(traj.steps)
+        for i, w in enumerate(traj.weights)
+        for j, value in enumerate(w[rec])
+    )
+    return csv_writer_bytes(["step", "agent", "weight_index", "value"], rows)
+
+
+def mu_csv_reference(traj):
+    rows = ([int(step), repr(float(v))] for step, v in zip(traj.steps, traj.mu))
+    return csv_writer_bytes(["step", "mu"], rows)
+
+
+def metrics_csv_reference(series):
+    columns = (series.max_error, series.variance_weighted, series.variance_unweighted)
+    rows = (
+        [int(step)] + [repr(float(v)) for v in values]
+        for step, *values in zip(series.steps, *columns)
+    )
+    header = ["step", "max_error", "variance_weighted", "variance_unweighted"]
+    return csv_writer_bytes(header, rows)

@@ -39,7 +39,7 @@ def _verdict(criterion: str, ok: bool, detail: str = "") -> None:
 @pytest.fixture(scope="module")
 def queue_setup(queue_model, queue_eta, queue_bases, queue_q):
     aug = g.build_augmented(queue_model, queue_q, queue_bases, queue_eta)
-    fp = g.solve_discounted_fixed_point(aug, 0.9)
+    fp = g.solve_fixed_point(aug, g.Criterion(0.9))
     return aug, fp
 
 
@@ -48,7 +48,7 @@ def queue_setup_avg(queue_model, queue_eta, queue_bases, queue_q):
     bases = g.orthogonalize_ensemble(queue_bases, queue_eta)
     aug = g.build_augmented(queue_model, queue_q, bases, queue_eta)
     mu = g.average_cost(queue_model, queue_eta)
-    fp = g.solve_average_fixed_point(aug, mu)
+    fp = g.solve_fixed_point(aug, g.Criterion(None))
     return bases, aug, fp, mu
 
 
@@ -63,14 +63,14 @@ def test_criterion_1_single_agent_oracle_equivalence(queue_model, queue_eta):
         eta = g.stationary_distribution(model)
         basis = random_basis(rng, m, int(rng.integers(1, m)))
         aug = g.build_augmented(model, gm1, g.BasisEnsemble(bases=(basis,)), eta)
-        fp = g.solve_discounted_fixed_point(aug, 0.9)
+        fp = g.solve_fixed_point(aug, g.Criterion(0.9))
         expected = classical_td_fixed_point(model, basis, 0.9, eta)
         worst = max(worst, float(np.max(np.abs(fp.r_star - expected))))
     basis = random_basis(rng, 51, 5)
     aug = g.build_augmented(
         queue_model, gm1, g.BasisEnsemble(bases=(basis,)), queue_eta
     )
-    fp = g.solve_discounted_fixed_point(aug, 0.9)
+    fp = g.solve_fixed_point(aug, g.Criterion(0.9))
     expected = classical_td_fixed_point(queue_model, basis, 0.9, queue_eta)
     worst = max(worst, float(np.max(np.abs(fp.r_star - expected))))
     ok = worst < 1e-10
@@ -83,7 +83,7 @@ def test_criterion_2_exact_representation_recovery(queue_model, queue_eta):
     gm1 = g.GossipMatrix(q=np.eye(1))
     basis = g.FeatureBasis(phi=np.eye(51))
     aug = g.build_augmented(queue_model, gm1, g.BasisEnsemble(bases=(basis,)), queue_eta)
-    fp = g.solve_discounted_fixed_point(aug, 0.9)
+    fp = g.solve_fixed_point(aug, g.Criterion(0.9))
     err_disc = float(
         np.max(np.abs(fp.r_star - g.discounted_value(queue_model, 0.9)))
     )
@@ -95,7 +95,7 @@ def test_criterion_2_exact_representation_recovery(queue_model, queue_eta):
         queue_model, gm1, g.BasisEnsemble(bases=(comp,)), queue_eta
     )
     mu = g.average_cost(queue_model, queue_eta)
-    fp2 = g.solve_average_fixed_point(aug2, mu)
+    fp2 = g.solve_fixed_point(aug2, g.Criterion(None))
     j_star = g.basic_differential_value(queue_model, queue_eta)
     err_avg = float(np.max(np.abs(comp.phi @ fp2.r_star - j_star)))
 
@@ -135,7 +135,7 @@ def test_criterion_3_zero_expected_update(
     for basis in obases.bases:
         solo = g.BasisEnsemble(bases=(basis,))
         aug1 = g.build_augmented(queue_model, gm1, solo, queue_eta)
-        fp1 = g.solve_average_fixed_point(aug1, mu)
+        fp1 = g.solve_fixed_point(aug1, g.Criterion(None))
         d, md = enumerate_expected_avgcost_update(
             queue_model, solo, gm1, queue_eta, [fp1.r_star], mu, 1.0
         )
@@ -188,8 +188,7 @@ def test_criterion_5_stochastic_convergence_average(
         cfg = g.RunConfig(
             steps=200_000,
             seed=seed,
-            criterion="average",
-            alpha=None,
+            criterion=g.Criterion(None),
             record_every=200_000,
         )
         traj = g.run(queue_model, obases, queue_q, cfg)
@@ -209,8 +208,8 @@ def test_criterion_5_stochastic_convergence_average(
 def test_criterion_6_bound_chain(queue_model, queue_bases, queue_q, queue_setup):
     """Componentwise and scalar error bounds hold on the queue preset."""
     _, fp = queue_setup
-    rep = g.compute_discounted_errors(
-        queue_model, queue_bases, queue_q, 0.9, fp
+    rep = g.compute_errors(
+        queue_model, queue_bases, queue_q, g.Criterion(0.9), fp
     )
     comp_ok = bool(np.all(rep.e**2 <= rep.e2_bound + 1e-9))
     scalar_ok = bool(np.max(rep.e) <= rep.max_error_bound + 1e-9)
@@ -267,14 +266,13 @@ def test_criterion_7_orthogonal_contraction(queue_model, queue_eta):
     assert ok
 
 
-def _seed_pair_wins(model, bases, gm, eta, criterion, alpha, steps, n_pairs=10):
+def _seed_pair_wins(model, bases, gm, eta, criterion, steps, n_pairs=10):
     wins_max = wins_var = 0
     for seed in range(n_pairs):
         cfg = g.RunConfig(
             steps=steps,
             seed=seed,
             criterion=criterion,
-            alpha=alpha,
             record_every=steps,
         )
         coupled = g.run(model, bases, gm, cfg)
@@ -292,11 +290,11 @@ def test_criterion_8_coupled_vs_uncoupled(
     """Coupled runs beat uncoupled on max error and dispersion in >=7/10
     seed pairs (discounted), and on dispersion in >=7/10 (average cost)."""
     d_max, d_var = _seed_pair_wins(
-        queue_model, queue_bases, queue_q, queue_eta, "discounted", 0.9, 100_000
+        queue_model, queue_bases, queue_q, queue_eta, g.Criterion(0.9), 100_000
     )
     obases = queue_setup_avg[0]
     a_max, a_var = _seed_pair_wins(
-        queue_model, obases, queue_q, queue_eta, "average", None, 100_000
+        queue_model, obases, queue_q, queue_eta, g.Criterion(None), 100_000
     )
     ok = d_max >= 7 and d_var >= 7 and a_var >= 7
     _verdict(

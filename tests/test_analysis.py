@@ -10,9 +10,9 @@ from gossiptd.errors import StructuralError
 @pytest.fixture(scope="module")
 def discounted_report(queue_model, queue_q, queue_bases, queue_eta):
     aug = g.build_augmented(queue_model, queue_q, queue_bases, queue_eta)
-    fp = g.solve_discounted_fixed_point(aug, 0.9)
-    report = g.compute_discounted_errors(
-        queue_model, queue_bases, queue_q, 0.9, fp, queue_eta
+    fp = g.solve_fixed_point(aug, g.Criterion(0.9))
+    report = g.compute_errors(
+        queue_model, queue_bases, queue_q, g.Criterion(0.9), fp, queue_eta
     )
     return aug, fp, report
 
@@ -81,8 +81,10 @@ class TestIdenticalBasesDegenerate:
             bases=tuple(g.FeatureBasis(basis.phi.copy(), agent_id=a) for a in range(3))
         )
         aug = g.build_augmented(queue_model, queue_q, ens, queue_eta)
-        fp = g.solve_discounted_fixed_point(aug, 0.9)
-        rep = g.compute_discounted_errors(queue_model, ens, queue_q, 0.9, fp, queue_eta)
+        fp = g.solve_fixed_point(aug, g.Criterion(0.9))
+        rep = g.compute_errors(
+            queue_model, ens, queue_q, g.Criterion(0.9), fp, queue_eta
+        )
         assert rep.beta == pytest.approx(1.0, abs=1e-10)
         assert not rep.side_condition_met
 
@@ -92,8 +94,10 @@ class TestAverageErrorReport:
         bases = g.orthogonalize_ensemble(queue_bases, queue_eta)
         aug = g.build_augmented(queue_model, queue_q, bases, queue_eta)
         mu = g.average_cost(queue_model, queue_eta)
-        fp = g.solve_average_fixed_point(aug, mu)
-        rep = g.compute_average_errors(queue_model, bases, queue_q, fp, queue_eta)
+        fp = g.solve_fixed_point(aug, g.Criterion(None))
+        rep = g.compute_errors(
+            queue_model, bases, queue_q, g.Criterion(None), fp, queue_eta
+        )
         assert 0.0 < rep.contraction_modulus < 1.0
         assert rep.contraction_modulus == pytest.approx(
             g.orthogonal_contraction_factor(queue_model, queue_eta)
@@ -106,9 +110,11 @@ class TestAverageErrorReport:
         self, queue_model, queue_q, queue_bases, queue_eta
     ):
         aug = g.build_augmented(queue_model, queue_q, queue_bases, queue_eta)
-        fp = g.solve_discounted_fixed_point(aug, 0.9)
+        fp = g.solve_fixed_point(aug, g.Criterion(0.9))
         with pytest.raises(StructuralError):
-            g.compute_average_errors(queue_model, queue_bases, queue_q, fp, queue_eta)
+            g.compute_errors(
+                queue_model, queue_bases, queue_q, g.Criterion(None), fp, queue_eta
+            )
 
 
 @pytest.fixture(scope="module")

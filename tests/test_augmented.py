@@ -106,7 +106,7 @@ class TestDiscountedFixedPoint:
         rng = np.random.default_rng(0)
         basis = random_basis(rng, 51, 5)
         aug = _single_agent(queue_model, basis)
-        fp = g.solve_discounted_fixed_point(aug, 0.9)
+        fp = g.solve_fixed_point(aug, g.Criterion(0.9))
         expected = classical_td_fixed_point(queue_model, basis, 0.9, queue_eta)
         np.testing.assert_allclose(fp.r_star, expected, atol=1e-10)
 
@@ -114,14 +114,14 @@ class TestDiscountedFixedPoint:
         # identity features make TD exact: Phi r* = (I - alpha P)^{-1} cbar
         basis = g.FeatureBasis(phi=np.eye(51))
         aug = _single_agent(queue_model, basis)
-        fp = g.solve_discounted_fixed_point(aug, 0.9)
+        fp = g.solve_fixed_point(aug, g.Criterion(0.9))
         np.testing.assert_allclose(
             fp.r_star, g.discounted_value(queue_model, 0.9), atol=1e-8
         )
 
     def test_residual_reported(self, queue_model, queue_q, queue_bases):
         aug = g.build_augmented(queue_model, queue_q, queue_bases)
-        fp = g.solve_discounted_fixed_point(aug, 0.9)
+        fp = g.solve_fixed_point(aug, g.Criterion(0.9))
         assert fp.residual < 1e-9
 
     def test_uniform_gossip_identical_bases_agree_with_single_agent(self):
@@ -133,7 +133,8 @@ class TestDiscountedFixedPoint:
         basis = random_basis(rng, 8, 3)
         gm = g.GossipMatrix(q=np.full((3, 3), 1 / 3))
         ens = g.BasisEnsemble(bases=(basis, basis, basis))
-        fp = g.solve_discounted_fixed_point(g.build_augmented(model, gm, ens), 0.9)
+        aug = g.build_augmented(model, gm, ens)
+        fp = g.solve_fixed_point(aug, g.Criterion(0.9))
         expected = classical_td_fixed_point(model, basis, 0.9, eta)
         for part in g.build_augmented(model, gm, ens).split(fp.r_star):
             np.testing.assert_allclose(part, expected, atol=1e-8)
@@ -177,7 +178,7 @@ class TestAverageFixedPoint:
         basis = g.FeatureBasis(phi=N)
         aug = _single_agent(queue_model, basis)
         mu = g.average_cost(queue_model, queue_eta)
-        fp = g.solve_average_fixed_point(aug, mu)
+        fp = g.solve_fixed_point(aug, g.Criterion(None))
         expected = g.basic_differential_value(queue_model, queue_eta)
         np.testing.assert_allclose(basis.phi @ fp.r_star, expected, atol=1e-7)
 
@@ -185,7 +186,7 @@ class TestAverageFixedPoint:
         bases = g.orthogonalize_ensemble(queue_bases, queue_eta)
         aug = g.build_augmented(queue_model, queue_q, bases)
         mu = g.average_cost(queue_model, queue_eta)
-        fp = g.solve_average_fixed_point(aug, mu)
+        fp = g.solve_fixed_point(aug, g.Criterion(None))
         assert fp.mu_star == pytest.approx(mu)
         assert fp.residual < 1e-9
 
@@ -193,7 +194,7 @@ class TestAverageFixedPoint:
         import json
 
         aug = g.build_augmented(queue_model, queue_q, queue_bases)
-        fp = g.solve_discounted_fixed_point(aug, 0.9)
+        fp = g.solve_fixed_point(aug, g.Criterion(0.9))
         doc = json.loads(fp.to_json())
         np.testing.assert_allclose(doc["r_star"], fp.r_star)
         assert doc["mu_star"] is None

@@ -9,6 +9,8 @@ import gossiptd as g
 from gossiptd.cli import main
 from gossiptd.errors import StructuralError
 
+from helpers import metrics_csv_reference, mu_csv_reference, weights_csv_reference
+
 
 class TestBuildQueueChain:
     def test_shape_and_validity(self, queue_model):
@@ -61,13 +63,13 @@ class TestBuildQueueChain:
 class TestExperimentConfig:
     def test_discounted_preset(self):
         cfg = g.ExperimentConfig.from_dict({"preset": "queue-3-discounted"})
-        assert cfg.criterion == "discounted" and cfg.alpha == 0.9
+        assert cfg.run.criterion == g.Criterion(0.9)
         assert cfg.model.m == 51 and cfg.gossip.n == 3
         assert cfg.bases.sizes == (4, 3, 2)
 
     def test_average_preset(self):
         cfg = g.ExperimentConfig.from_dict({"preset": "queue-3-average"})
-        assert cfg.criterion == "average" and cfg.alpha is None
+        assert cfg.run.criterion == g.Criterion(None)
         assert cfg.orthogonalize is True
 
     def test_preset_overrides(self):
@@ -145,6 +147,48 @@ class TestPrepareAndRunExperiment:
         names = {p.split("/")[-1] for p in result.files}
         assert {"coupled_mu.csv", "uncoupled_mu.csv"} <= names
 
+    def test_direct_average_config_runs_average_learners(
+        self, tmp_path, queue_model, queue_q, queue_bases
+    ):
+        # the criterion lives only in RunConfig, so a config built without
+        # the JSON parser cannot hold two disagreeing criteria
+        cfg = g.ExperimentConfig(
+            model=queue_model,
+            gossip=queue_q,
+            bases=queue_bases,
+            run=g.RunConfig(steps=2000, criterion=g.Criterion(None)),
+            out_dir=str(tmp_path / "out"),
+        )
+        result = g.run_experiment(cfg)
+        assert result.fixed_point.mu_star == pytest.approx(g.average_cost(queue_model))
+        assert result.coupled.mu is not None and result.uncoupled.mu is not None
+        assert result.error_report.contraction_modulus == pytest.approx(
+            g.orthogonal_contraction_factor(queue_model)
+        )
+        names = {p.split("/")[-1] for p in result.files}
+        assert {"coupled_mu.csv", "uncoupled_mu.csv"} <= names
+
+    @pytest.mark.parametrize("preset", ["queue-3-discounted", "queue-3-average"])
+    def test_csv_bytes_match_csv_writer(self, tmp_path, preset):
+        cfg = g.ExperimentConfig.from_dict(
+            {
+                "preset": preset,
+                "run": {"steps": 3000, "seed": 2, "record_every": 7},
+                "out_dir": str(tmp_path),
+            }
+        )
+        result = g.run_experiment(cfg)
+        for name in ("coupled", "uncoupled"):
+            traj = getattr(result, name)
+            series = getattr(result, f"{name}_metrics")
+            got = (tmp_path / f"{name}_weights.csv").read_bytes()
+            assert got == weights_csv_reference(traj)
+            got = (tmp_path / f"{name}_metrics.csv").read_bytes()
+            assert got == metrics_csv_reference(series)
+            if traj.mu is not None:
+                assert (tmp_path / f"{name}_mu.csv").read_bytes() == mu_csv_reference(traj)
+        assert (traj.mu is not None) == (preset == "queue-3-average")
+
     def test_failure_cleans_outputs(self, tmp_path, queue_model):
         # a periodic gossip matrix fails validation before anything is written
         cfg = g.ExperimentConfig.from_dict(
@@ -219,6 +263,24 @@ class TestCli:
             assert main([command, path]) == 1, command
             err = capsys.readouterr().err
             assert err == "error: rows of P must be nonnegative and sum to 1\n", command
+
+    def test_reducible_p_exits_2_for_every_command(self, tmp_path, capsys, queue_model):
+        # p(25, 24) moved onto the diagonal: no state above 24 reaches 24
+        P = queue_model.P.copy()
+        P[25, 25] += P[25, 24]
+        P[25, 24] = 0.0
+        path = _write_config(
+            tmp_path,
+            {
+                "preset": "queue-3-discounted",
+                "chain": {"P": P.tolist(), "c": queue_model.c.tolist()},
+                "out_dir": str(tmp_path / "out"),
+            },
+        )
+        for command in ("validate", "solve", "bounds", "run"):
+            assert main([command, path]) == 2, command
+            err = capsys.readouterr().err
+            assert err == "assumption violation: (A2): chain is reducible\n", command
 
     def test_agent_count_mismatch_exits_1_for_every_command(self, tmp_path, capsys):
         path = _write_config(

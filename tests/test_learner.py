@@ -16,10 +16,13 @@ from helpers import (
     classical_td_fixed_point,
     enumerate_expected_avgcost_update,
     enumerate_expected_distributed_update,
+    metrics_csv_reference,
+    mu_csv_reference,
     random_basis,
     random_chain,
     reference_run,
     searchsorted_states,
+    weights_csv_reference,
 )
 
 
@@ -135,7 +138,7 @@ class TestExpectedUpdateAtFixedPoint:
 
     def test_discounted_distributed(self, queue_model, queue_q, queue_bases, queue_eta):
         aug = g.build_augmented(queue_model, queue_q, queue_bases, queue_eta)
-        fp = g.solve_discounted_fixed_point(aug, 0.9)
+        fp = g.solve_fixed_point(aug, g.Criterion(0.9))
         drift = enumerate_expected_distributed_update(
             queue_model, queue_bases, queue_q, queue_eta, aug.split(fp.r_star), 0.9
         )
@@ -155,7 +158,7 @@ class TestExpectedUpdateAtFixedPoint:
         bases = g.orthogonalize_ensemble(queue_bases, queue_eta)
         aug = g.build_augmented(queue_model, queue_q, bases, queue_eta)
         mu = g.average_cost(queue_model, queue_eta)
-        fp = g.solve_average_fixed_point(aug, mu)
+        fp = g.solve_fixed_point(aug, g.Criterion(None))
         drift, mu_drift = enumerate_expected_avgcost_update(
             queue_model, bases, queue_q, queue_eta, aug.split(fp.r_star), mu, 1.0
         )
@@ -194,9 +197,9 @@ class TestRun:
     ):
         # identical chain stream: record at every step and compare the cost
         # sequences implicitly through mu in average mode
-        ca = g.RunConfig(steps=500, seed=9, criterion="average", alpha=None)
+        ca = g.RunConfig(steps=500, seed=9, criterion=g.Criterion(None))
         cb = g.RunConfig(
-            steps=500, seed=9, criterion="average", alpha=None, mode="uncoupled"
+            steps=500, seed=9, criterion=g.Criterion(None), mode="uncoupled"
         )
         a = g.run(queue_model, queue_bases, queue_q, ca)
         b = g.run(queue_model, queue_bases, None, cb)
@@ -227,7 +230,7 @@ class TestRun:
             steps=200_000,
             seed=0,
             mode="centralized",
-            alpha=0.8,
+            criterion=g.Criterion(0.8),
             schedule=g.PowerSchedule(a=0.2, p=0.6, scale=1000.0),
         )
         traj = g.run(model, g.BasisEnsemble(bases=(basis,)), None, cfg)
@@ -250,9 +253,9 @@ class TestRun:
         with pytest.raises(StructuralError):
             g.RunConfig(steps=10, mode="nope")
         with pytest.raises(StructuralError):
-            g.RunConfig(steps=10, alpha=1.5)
+            g.RunConfig(steps=10, criterion=g.Criterion(1.5))
         with pytest.raises(StructuralError):
-            g.RunConfig(steps=10, criterion="average", alpha=None, k=0.0)
+            g.RunConfig(steps=10, criterion=g.Criterion(None, k=0.0))
         with pytest.raises(StructuralError):
             g.RunConfig(steps=10, record_every=0)
 
@@ -270,6 +273,25 @@ class TestRun:
         last = [r for r in rows if r["step"] == "1000" and r["agent"] == "0"]
         got = np.array([float(r["value"]) for r in last])
         np.testing.assert_array_equal(got, traj.weights[0][-1])
+
+    def test_csv_special_values_match_csv_writer(self, tmp_path):
+        values = np.array([[0.0, -0.0, 1e-300], [np.nan, np.inf, -1 / 3]])
+        traj = g.Trajectory(
+            steps=np.array([0, 7]),
+            weights=[values, values[:, :1]],
+            mu=np.array([-np.inf, 0.1]),
+            config=g.RunConfig(steps=7),
+            final=None,
+        )
+        series = g.MetricsSeries(traj.steps, *values.T)
+        path = tmp_path / "out.csv"
+        for write, expected in (
+            (traj.write_weights_csv, weights_csv_reference(traj)),
+            (traj.write_mu_csv, mu_csv_reference(traj)),
+            (series.write_csv, metrics_csv_reference(series)),
+        ):
+            write(path)
+            assert path.read_bytes() == expected
 
 
 def _max_rel_err(got, ref):
@@ -296,9 +318,7 @@ class TestEngineMatchesStepFunctions:
             steps=self.STEPS,
             seed=5,
             mode=mode,
-            criterion=criterion,
-            alpha=0.9 if criterion == "discounted" else None,
-            k=1.5,
+            criterion=g.Criterion(0.9 if criterion == "discounted" else None, k=1.5),
             record_every=record_every,
             schedule=g.PowerSchedule(a=0.2, p=0.75, scale=300.0),
         )
@@ -320,7 +340,7 @@ class TestEngineMatchesStepFunctions:
         [
             ({"record_every": 50, "schedule": g.PowerSchedule(a=5.0)}, "weight"),
             (
-                {"record_every": 5, "criterion": "average", "alpha": None, "k": 25.0},
+                {"record_every": 5, "criterion": g.Criterion(None, k=25.0)},
                 "mu",
             ),
         ],
